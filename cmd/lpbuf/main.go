@@ -5,8 +5,11 @@
 // (Figure 5), and the headline aggregates. It can also run a single
 // benchmark and print its statistics.
 //
-// Experiments execute through the internal/runner job scheduler:
-// compiles and simulations fan out across a bounded worker pool
+// The figure flags (-fig, -all, -encoding, -headline) normalize to the
+// lpbufd job spec and run through experiments.Suite.BuildArtifact, the
+// call lpbufd makes; -submit sends the same spec to a daemon instead.
+// Both render the artifact with experiments.RenderArtifact. Each
+// figure's compile and simulate jobs run on a bounded worker pool
 // (default GOMAXPROCS, -par N to override) with singleflight caching,
 // so no (benchmark, config) pair ever compiles twice. The rendered
 // tables are byte-identical at any parallelism.
@@ -40,7 +43,6 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"strings"
 	"time"
 
 	"lpbuf/internal/bench/suite"
@@ -51,9 +53,6 @@ import (
 	"lpbuf/internal/service"
 	"lpbuf/internal/verify"
 )
-
-// knownFigures are the accepted -fig values.
-var knownFigures = []string{"3", "5", "7", "8a", "8b", "shootout"}
 
 func main() {
 	fig := flag.String("fig", "", "figure to regenerate: 3, 5, 7, 8a, 8b, shootout")
@@ -103,6 +102,30 @@ func main() {
 		printList()
 		return
 	}
+	// The figure selection runs through the job codec in both modes, so
+	// a local run and -submit compute the same normalized request.
+	var figures []string
+	switch {
+	case *all || *fig == "all":
+		figures = []string{"all"}
+	default:
+		if *fig != "" {
+			figures = append(figures, *fig)
+		}
+		if *encoding {
+			figures = append(figures, "encoding")
+		}
+		if *headline {
+			figures = append(figures, "headline")
+		}
+	}
+	var spec service.JobSpec
+	if len(figures) > 0 {
+		var err error
+		if spec, err = service.SpecForFigures(figures, *doVerify); err != nil {
+			fail(err)
+		}
+	}
 	if *submit != "" {
 		// Remote mode: the daemon runs figure jobs only. Flags that need
 		// the local process (single-bench runs, disassembly, pprof) don't
@@ -120,27 +143,8 @@ func main() {
 				fail(fmt.Errorf("-%s is local-only and cannot be combined with -submit", name))
 			}
 		}
-		var figures []string
-		switch {
-		case *all || *fig == "all":
-			figures = []string{"all"}
-		default:
-			if *fig != "" {
-				figures = append(figures, *fig)
-			}
-			if *encoding {
-				figures = append(figures, "encoding")
-			}
-			if *headline {
-				figures = append(figures, "headline")
-			}
-		}
 		if len(figures) == 0 {
 			fail(fmt.Errorf("-submit needs figures: -fig N, -all, -encoding or -headline"))
-		}
-		spec, err := service.SpecForFigures(figures, *doVerify)
-		if err != nil {
-			fail(err)
 		}
 		if err := runSubmit(*submit, spec, submitOptions{
 			progress:      *progress,
@@ -154,14 +158,6 @@ func main() {
 			fail(err)
 		}
 		return
-	}
-	switch *fig {
-	case "", "3", "5", "7", "8a", "8b", "shootout":
-	case "all":
-		// `-fig all` is an alias for -all.
-		*fig, *all = "", true
-	default:
-		fail(fmt.Errorf("unknown figure %q (known: %s, all)", *fig, strings.Join(knownFigures, ", ")))
 	}
 
 	opts := experiments.Options{Workers: *par, Verify: *doVerify}
@@ -210,7 +206,6 @@ func main() {
 		}()
 	}
 	s := experiments.NewWithOptions(opts)
-	art := experiments.NewArtifact()
 
 	did := false
 	if *benchName != "" {
@@ -228,68 +223,14 @@ func main() {
 				r.Pass.Combined, r.Pass.Promoted, r.Pass.CLoops, r.Pass.ModuloKernels)
 		}
 	}
-	if *fig == "7" || *all {
+	art := experiments.NewArtifact()
+	if len(figures) > 0 {
 		did = true
-		art.Figure7 = map[string][]experiments.Fig7Row{}
-		for _, cfg := range []string{"traditional", "aggressive"} {
-			rows, err := s.Figure7(cfg, experiments.BufferSizes)
-			if err != nil {
-				fail(err)
-			}
-			art.Figure7[cfg] = rows
-			title := "Figure 7(a): % instruction issue from loop buffer, traditional optimization"
-			if cfg == "aggressive" {
-				title = "Figure 7(b): % instruction issue from loop buffer, hyperblock transformations"
-			}
-			fmt.Println(experiments.RenderFig7(title, rows, experiments.BufferSizes))
-		}
-	}
-	if *fig == "8a" || *all {
-		did = true
-		rows, err := s.Figure8a()
-		if err != nil {
+		var err error
+		if art, err = s.BuildArtifact(context.Background(), spec.Figures, spec.Fig5Sizes, spec.Fig7Sizes); err != nil {
 			fail(err)
 		}
-		art.Figure8a = rows
-		fmt.Println(experiments.RenderFig8a(rows))
-	}
-	if *fig == "8b" || *all {
-		did = true
-		rows, err := s.Figure8b()
-		if err != nil {
-			fail(err)
-		}
-		art.Figure8b = rows
-		fmt.Println(experiments.RenderFig8b(rows))
-	}
-	if *fig == "3" || *all {
-		did = true
-		f3, err := s.Figure3()
-		if err != nil {
-			fail(err)
-		}
-		art.Figure3 = f3
-		fmt.Println(experiments.RenderFig3(f3))
-	}
-	if *fig == "5" || *all {
-		did = true
-		for _, sz := range []int{16, 32, 64} {
-			f5, err := s.Figure5(sz)
-			if err != nil {
-				fail(err)
-			}
-			art.Figure5 = append(art.Figure5, f5)
-			fmt.Println(experiments.RenderFig5(f5))
-		}
-	}
-	if *fig == "shootout" || *all {
-		did = true
-		rows, err := s.Shootout()
-		if err != nil {
-			fail(err)
-		}
-		art.Shootout = rows
-		fmt.Println(experiments.RenderShootout(rows))
+		fmt.Print(experiments.RenderArtifact(art))
 	}
 	if *dump != "" {
 		did = true
@@ -314,24 +255,6 @@ func main() {
 			fail(err)
 		}
 		fmt.Println(experiments.RenderWidths(*widths, rows))
-	}
-	if *encoding || *all {
-		did = true
-		rows, err := s.EncodingCosts()
-		if err != nil {
-			fail(err)
-		}
-		art.Encoding = rows
-		fmt.Println(experiments.RenderEncoding(rows))
-	}
-	if *headline || *all {
-		did = true
-		h, err := s.ComputeHeadline()
-		if err != nil {
-			fail(err)
-		}
-		art.Headline = h
-		fmt.Println(experiments.RenderHeadline(h))
 	}
 	if !did {
 		flag.Usage()

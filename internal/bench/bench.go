@@ -162,15 +162,3 @@ func H2B(vals []int16) []byte {
 	}
 	return b
 }
-
-// W2B packs int32s little-endian.
-func W2B(vals []int32) []byte {
-	b := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		b[4*i] = byte(v)
-		b[4*i+1] = byte(uint32(v) >> 8)
-		b[4*i+2] = byte(uint32(v) >> 16)
-		b[4*i+3] = byte(uint32(v) >> 24)
-	}
-	return b
-}

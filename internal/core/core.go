@@ -383,22 +383,29 @@ func Compile(prog *ir.Program, cfg Config) (*Compiled, error) {
 	return c, nil
 }
 
-// Run executes the compiled program on the cycle simulator and checks
-// its output against the reference execution.
-func (c *Compiled) Run() (*vliw.Result, error) { return c.runPlan(c.Plan) }
+// Run executes the compiled program on the cycle simulator at the
+// configured buffer capacity and checks its output against the
+// reference execution.
+func (c *Compiled) Run() (*vliw.Result, error) { return c.RunWithBuffer(c.Config.BufferCapacity) }
 
 // RunWithBuffer re-plans buffer assignment for a different capacity and
-// runs (the schedule itself is buffer-size independent).
+// runs (the schedule itself is buffer-size independent). It is a
+// one-capacity RunSweep.
 func (c *Compiled) RunWithBuffer(capacity int) (*vliw.Result, error) {
-	return c.runPlan(loopbuffer.Plan(c.Code, c.Prof, capacity))
+	results, err := c.RunSweep([]int{capacity}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
 }
 
 // RunSweep plans buffer assignment at every capacity and runs the
 // whole sweep as ONE batched simulation (vliw.RunBatch): the program
 // executes once and is accounted under every plan, so a Figure 7 sweep
 // costs one simulation instead of len(capacities). Results come back
-// in capacity order. Sweeps always run in folded-stats mode — Stats
-// are exact, per-cycle event emission is skipped (sweep consumers read
+// in capacity order. One capacity traces: its run emits the full
+// simulator event ring into Config.Obs. Two or more fold: Stats are
+// exact, per-cycle event emission is skipped (sweep consumers read
 // Stats, not rings). engine may be nil; when set, per-sim scratch is
 // pooled across calls.
 func (c *Compiled) RunSweep(capacities []int, engine *vliw.Engine) ([]*vliw.Result, error) {
@@ -422,7 +429,7 @@ func (c *Compiled) RunSweep(capacities []int, engine *vliw.Engine) ([]*vliw.Resu
 		Options: vliw.Options{EntryArgs: c.Config.EntryArgs,
 			Obs: c.Config.Obs, Engine: engine, PMU: c.Config.PMU},
 		Labels:          labels,
-		FoldedStatsOnly: true,
+		FoldedStatsOnly: len(plans) > 1,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s: simulation: %w", c.Config.Name, err)
@@ -437,31 +444,4 @@ func (c *Compiled) RunSweep(capacities []int, engine *vliw.Engine) ([]*vliw.Resu
 		return nil, fmt.Errorf("%s: simulated memory differs from reference", c.Config.Name)
 	}
 	return results, nil
-}
-
-func (c *Compiled) runPlan(plan *vliw.BufferPlan) (*vliw.Result, error) {
-	if c.Config.Verify && plan != c.Plan {
-		// Re-planned buffers (RunWithBuffer sweeps) are checkpointed
-		// too; the compile-time plan was already verified.
-		if err := verify.AsError(verify.Plan("bufplan", c.Code, plan)); err != nil {
-			return nil, fmt.Errorf("%s: %w", c.Config.Name, err)
-		}
-	}
-	var label string
-	if c.Config.Obs != nil || c.Config.PMU != nil {
-		label = fmt.Sprintf("%s/%s@%d", c.Config.TraceLabel, c.Config.Name, plan.Capacity)
-	}
-	res, err := vliw.Run(c.Code, plan, vliw.Options{EntryArgs: c.Config.EntryArgs,
-		Obs: c.Config.Obs, TraceLabel: label, PMU: c.Config.PMU})
-	if err != nil {
-		return nil, fmt.Errorf("%s: simulation: %w", c.Config.Name, err)
-	}
-	if res.Ret != c.Ref.Ret {
-		return nil, fmt.Errorf("%s: simulated return %d != reference %d",
-			c.Config.Name, res.Ret, c.Ref.Ret)
-	}
-	if !bytes.Equal(res.Mem, c.Ref.Mem) {
-		return nil, fmt.Errorf("%s: simulated memory differs from reference", c.Config.Name)
-	}
-	return res, nil
 }

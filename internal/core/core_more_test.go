@@ -1,7 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
+
+	"lpbuf/internal/obs"
+	"lpbuf/internal/vliw"
 )
 
 func TestAblationKnobs(t *testing.T) {
@@ -69,5 +73,48 @@ func TestCompileRejectsBrokenEntry(t *testing.T) {
 	prog.Entry = "nosuch"
 	if _, err := Compile(prog, Traditional(256)); err == nil {
 		t.Fatal("expected error for missing entry")
+	}
+}
+
+// TestRunSweepFoldRule pins when a simulation emits simulator ring
+// events: one capacity traces, two or more fold. The per-capacity Stats
+// are identical either way.
+func TestRunSweepFoldRule(t *testing.T) {
+	cfg := Aggressive(256)
+	cfg.TraceLabel = "diamond"
+	cfg.Obs = obs.New(obs.Config{Metrics: true, SimEvents: true})
+	c, err := Compile(diamondLoopProgram(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caps := []int{16, 256}
+	var solo []vliw.Stats
+	for _, capacity := range caps {
+		before := cfg.Obs.Sim.Total()
+		res, err := c.RunWithBuffer(capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Obs.Sim.Total() == before {
+			t.Fatalf("one-capacity run at %d emitted no simulator events", capacity)
+		}
+		solo = append(solo, res.Stats)
+	}
+	before := cfg.Obs.Sim.Total()
+	sweep, err := c.RunSweep(caps, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cfg.Obs.Sim.Total() - before; n != 0 {
+		t.Fatalf("%d-capacity sweep emitted %d simulator events, want 0", len(caps), n)
+	}
+	for i, capacity := range caps {
+		if !reflect.DeepEqual(sweep[i].Stats, solo[i]) {
+			t.Errorf("@%d: sweep stats differ from the one-capacity run:\nsweep: %+v\nsolo:  %+v",
+				capacity, sweep[i].Stats, solo[i])
+		}
+	}
+	if got := cfg.Obs.Registry().Snapshot().Counters["sim.runs"]; got != 4 {
+		t.Errorf("sim.runs = %d, want 4 (2 solo runs + a 2-capacity sweep)", got)
 	}
 }

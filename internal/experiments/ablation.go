@@ -23,13 +23,9 @@ var AblationVariants = []string{
 	"no-promote", "no-predication",
 }
 
-// Ablation compiles one benchmark under each variant (256-op buffer).
-func (s *Suite) Ablation(benchName string) ([]AblationRow, error) {
-	return s.AblationBackend(benchName, "")
-}
-
-// AblationBackend is Ablation with an explicit modulo-scheduler
-// backend ("" or "heuristic" for IMS, "optimal" for the exact search).
+// AblationBackend compiles one benchmark under each variant (256-op
+// buffer) with the given modulo-scheduler backend ("" or "heuristic"
+// for IMS, "optimal" for the exact search).
 func (s *Suite) AblationBackend(benchName, backend string) ([]AblationRow, error) {
 	b, ok := suite.ByName(benchName)
 	if !ok {

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"lpbuf/internal/obs"
 	"lpbuf/internal/runner"
@@ -41,6 +44,11 @@ type Artifact struct {
 	// own telemetry.
 	Metrics *obs.RegistrySnapshot `json:"metrics,omitempty"`
 }
+
+// Figures names the sections BuildArtifact computes and RenderArtifact
+// prints, in the order of both. Figure 7 comes first: its batched
+// sweeps fill the run cache the later single-size figures hit.
+var Figures = []string{"7", "8a", "8b", "3", "5", "shootout", "encoding", "headline"}
 
 // NewArtifact creates an empty artifact for the registered benchmark
 // suite and the Figure 7 sweep sizes.
@@ -82,4 +90,110 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 		return nil, fmt.Errorf("artifact schema %q, want %q", a.Schema, ArtifactSchema)
 	}
 	return &a, nil
+}
+
+// BuildArtifact computes the requested figures (names from Figures) in
+// Figures order, checking ctx before each one, into a new artifact.
+// fig5Sizes are the Figure 5 buffer sizes and fig7Sizes the Figure 7
+// sweep (also recorded as the artifact's BufferSizes). Runner and
+// registry snapshots are left to the caller.
+func (s *Suite) BuildArtifact(ctx context.Context, figures []string, fig5Sizes, fig7Sizes []int) (*Artifact, error) {
+	want := map[string]bool{}
+	for _, f := range figures {
+		if !slices.Contains(Figures, f) {
+			return nil, fmt.Errorf("unknown figure %q (known: %s)", f, strings.Join(Figures, ", "))
+		}
+		want[f] = true
+	}
+	art := NewArtifact()
+	for _, fig := range Figures {
+		if !want[fig] {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var err error
+		switch fig {
+		case "3":
+			art.Figure3, err = s.Figure3Ctx(ctx)
+		case "5":
+			for _, sz := range fig5Sizes {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+				f5, err := s.Figure5(sz)
+				if err != nil {
+					return nil, err
+				}
+				art.Figure5 = append(art.Figure5, f5)
+			}
+		case "7":
+			art.BufferSizes = append([]int(nil), fig7Sizes...)
+			art.Figure7 = map[string][]Fig7Row{}
+			for _, cfg := range []string{"traditional", "aggressive"} {
+				rows, err := s.Figure7Ctx(ctx, cfg, fig7Sizes)
+				if err != nil {
+					return nil, err
+				}
+				art.Figure7[cfg] = rows
+			}
+		case "8a":
+			art.Figure8a, err = s.Figure8aCtx(ctx)
+		case "8b":
+			art.Figure8b, err = s.Figure8bCtx(ctx)
+		case "encoding":
+			art.Encoding, err = s.EncodingCosts()
+		case "headline":
+			art.Headline, err = s.ComputeHeadlineCtx(ctx)
+		case "shootout":
+			art.Shootout, err = s.ShootoutCtx(ctx)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return art, nil
+}
+
+// RenderArtifact formats every section the artifact carries as the
+// text tables of `lpbuf`, in Figures order, each followed by a blank
+// line.
+func RenderArtifact(a *Artifact) string {
+	var sb strings.Builder
+	section := func(text string) {
+		sb.WriteString(text)
+		sb.WriteString("\n")
+	}
+	for _, cfg := range []string{"traditional", "aggressive"} {
+		if rows, ok := a.Figure7[cfg]; ok {
+			title := "Figure 7(a): % instruction issue from loop buffer, traditional optimization"
+			if cfg == "aggressive" {
+				title = "Figure 7(b): % instruction issue from loop buffer, hyperblock transformations"
+			}
+			section(RenderFig7(title, rows, a.BufferSizes))
+		}
+	}
+	if a.Figure8a != nil {
+		section(RenderFig8a(a.Figure8a))
+	}
+	if a.Figure8b != nil {
+		section(RenderFig8b(a.Figure8b))
+	}
+	if a.Figure3 != nil {
+		section(RenderFig3(a.Figure3))
+	}
+	for _, f5 := range a.Figure5 {
+		section(RenderFig5(f5))
+	}
+	if a.Shootout != nil {
+		section(RenderShootout(a.Shootout))
+	}
+	if a.Encoding != nil {
+		section(RenderEncoding(a.Encoding))
+	}
+	if a.Headline != nil {
+		section(RenderHeadline(a.Headline))
+	}
+	return sb.String()
 }

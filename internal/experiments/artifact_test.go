@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"lpbuf/internal/runner"
@@ -134,5 +135,30 @@ func TestArtifactOmitsEmptySections(t *testing.T) {
 		if _, present := m[key]; !present {
 			t.Fatalf("empty artifact lacks %q", key)
 		}
+	}
+}
+
+// TestRenderArtifactSections renders an artifact carrying every section
+// and finds each section's title in print order, the scheduler
+// shoot-out included.
+func TestRenderArtifactSections(t *testing.T) {
+	art := goldenArtifact()
+	art.Shootout = []ShootoutRow{{Bench: "adpcmenc", Kernels: 2, Compared: 2, Proven: 2,
+		HeurSumII: 5, OptSumII: 4, Improved: 1, HeurCycles: 1000, OptCycles: 900,
+		HeurBufferPct: 90, OptBufferPct: 91, HeurStaticOps: 100, OptStaticOps: 98}}
+	out := RenderArtifact(art)
+	at := 0
+	for _, title := range []string{
+		"Figure 7(a)", "Figure 7(b)", "Figure 8(a)", "Figure 8(b)", "Figure 3",
+		"Figure 5", "Scheduler shoot-out", "Predication encoding", "Headline numbers",
+	} {
+		i := strings.Index(out[at:], title)
+		if i < 0 {
+			t.Fatalf("section %q missing or out of order in:\n%s", title, out)
+		}
+		at += i + len(title)
+	}
+	if empty := RenderArtifact(NewArtifact()); empty != "" {
+		t.Fatalf("empty artifact rendered %q", empty)
 	}
 }

@@ -179,9 +179,6 @@ func (s *Suite) SimProfiles() *pmu.Document {
 // split, cache hits/misses, peak in-flight).
 func (s *Suite) Metrics() runner.Snapshot { return s.metrics.Snapshot() }
 
-// Workers reports the suite's concurrency bound.
-func (s *Suite) Workers() int { return s.run.Workers() }
-
 // Benchmarks returns the Table 1 benchmark names in order.
 func Benchmarks() []string {
 	var names []string
@@ -279,146 +276,119 @@ type Run struct {
 
 // RunAt compiles (cached), re-plans the buffer at the given capacity,
 // runs, verifies the output against both the interpreter reference and
-// the pure-Go reference, and reports the statistics. Results are
-// memoized: the simulator is deterministic, so each (benchmark,
-// config, buffer) triple is simulated and verified once per process,
-// with concurrent requests singleflighted.
+// the pure-Go reference, and reports the statistics. It is a one-size
+// RunSweepAt, so it shares that memoization and keeps the simulator's
+// full event ring (a one-capacity simulation traces).
 func (s *Suite) RunAt(name, cfg string, bufferOps int) (*Run, error) {
-	key := fmt.Sprintf("%s/%s@%d%s", name, cfg, bufferOps, verifyKeySuffix(s.verify))
-	s.cc.mu.Lock()
-	r := s.cc.runs[key]
-	s.cc.mu.Unlock()
-	if r != nil {
-		s.metrics.RunHit()
-		s.noteRuns(r)
-		return r, nil
-	}
-	v, shared, err := s.cc.flight.Do("run/"+key, func() (any, error) {
-		s.cc.mu.Lock()
-		r := s.cc.runs[key]
-		s.cc.mu.Unlock()
-		if r != nil {
-			s.metrics.RunHit()
-			return r, nil
-		}
-		s.metrics.RunMiss()
-		r, err := s.runUncached(name, cfg, bufferOps)
-		if err != nil {
-			return nil, err
-		}
-		s.cc.mu.Lock()
-		s.cc.runs[key] = r
-		s.cc.mu.Unlock()
-		return r, nil
-	})
+	runs, err := s.RunSweepAt(name, cfg, []int{bufferOps})
 	if err != nil {
 		return nil, err
 	}
-	if shared {
-		s.metrics.RunHit()
-	}
-	r = v.(*Run)
-	s.noteRuns(r)
-	return r, nil
+	return runs[0], nil
 }
 
-// RunSweepAt runs one benchmark/config across a whole buffer sweep as
-// ONE batched simulation (core.RunSweep → vliw.RunBatch): the program
-// executes once and its statistics are accounted under every capacity,
-// so a Figure 7 sweep costs one simulation instead of len(sizes). The
-// per-size Runs land in the same memoization cache RunAt uses (sweep
-// stats are bit-identical to solo stats — the batch engine's
-// contract), so sweeps and point queries serve each other's hits.
-// Results come back in sizes order.
+// RunSweepAt returns the verified runs of one benchmark/config at every
+// buffer size, in sizes order. Results are memoized: the simulator is
+// deterministic, so each (benchmark, config, buffer) triple is
+// simulated and verified once per Cache, with concurrent requests
+// singleflighted. The sizes not yet cached run as ONE batched
+// simulation (core.RunSweep → vliw.RunBatch): the program executes once
+// and its statistics are accounted under every capacity, so a Figure 7
+// sweep costs one simulation instead of len(sizes). Each call counts
+// one run-cache miss per size it simulated and one hit per size served
+// from the cache.
 func (s *Suite) RunSweepAt(name, cfg string, sizes []int) ([]*Run, error) {
-	runKey := func(sz int) string {
-		return fmt.Sprintf("%s/%s@%d%s", name, cfg, sz, verifyKeySuffix(s.verify))
-	}
-	// collect serves the sweep entirely from cached runs, or reports a
-	// miss (nil) if any size is uncached.
-	collect := func() []*Run {
+	suffix := verifyKeySuffix(s.verify)
+	key := func(sz int) string { return fmt.Sprintf("%s/%s@%d%s", name, cfg, sz, suffix) }
+	out := make([]*Run, len(sizes))
+	// lookup fills out from the cache and returns the sizes it lacks.
+	lookup := func() []int {
+		var missing []int
 		s.cc.mu.Lock()
 		defer s.cc.mu.Unlock()
-		out := make([]*Run, len(sizes))
 		for i, sz := range sizes {
-			r := s.cc.runs[runKey(sz)]
-			if r == nil {
-				return nil
+			if out[i] = s.cc.runs[key(sz)]; out[i] == nil {
+				missing = append(missing, sz)
 			}
-			out[i] = r
 		}
-		return out
+		return missing
 	}
-	if out := collect(); out != nil {
-		for range sizes {
-			s.metrics.RunHit()
-		}
-		s.noteRuns(out...)
-		return out, nil
-	}
-	key := fmt.Sprintf("sweep/%s/%s@%v%s", name, cfg, sizes, verifyKeySuffix(s.verify))
-	v, shared, err := s.cc.flight.Do(key, func() (any, error) {
-		if out := collect(); out != nil {
-			for range sizes {
-				s.metrics.RunHit()
-			}
-			return out, nil
-		}
-		c, b, err := s.compiled(name, cfg)
+	misses := 0
+	if missing := lookup(); len(missing) > 0 {
+		v, shared, err := s.cc.flight.Do(fmt.Sprintf("run/%s/%s@%v%s", name, cfg, missing, suffix), func() (any, error) {
+			return s.simulate(name, cfg, missing, key)
+		})
 		if err != nil {
 			return nil, err
 		}
-		results, err := c.RunSweep(sizes, s.cc.engine)
-		if err != nil {
-			return nil, err
+		if !shared {
+			misses = v.(int)
 		}
-		// The batch shares one final memory image; checking it once
-		// checks every capacity's run.
-		if err := b.Check(results[0].Mem); err != nil {
-			return nil, fmt.Errorf("%s/%s sweep: output check: %w", name, cfg, err)
-		}
-		static := 0
-		for _, fc := range c.Code.Funcs {
-			static += fc.OpCount()
-		}
-		out := make([]*Run, len(sizes))
-		hits, misses := 0, 0
-		s.cc.mu.Lock()
-		for i, sz := range sizes {
-			if r := s.cc.runs[runKey(sz)]; r != nil {
-				// A point RunAt landed first; keep its pointer so the
-				// memoization stays pointer-stable for both callers.
-				out[i] = r
-				hits++
-				continue
-			}
-			r := &Run{Bench: name, Config: cfg, BufferOps: sz,
-				Stats: results[i].Stats, Pass: c.Stats, StaticOps: static,
-				Profile: results[i].Profile}
-			s.cc.runs[runKey(sz)] = r
-			out[i] = r
-			misses++
-		}
-		s.cc.mu.Unlock()
-		for ; misses > 0; misses-- {
-			s.metrics.RunMiss()
-		}
-		for ; hits > 0; hits-- {
-			s.metrics.RunHit()
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
+		lookup() // every size is cached now
 	}
-	if shared {
-		for range sizes {
-			s.metrics.RunHit()
-		}
+	for i := 0; i < misses; i++ {
+		s.metrics.RunMiss()
 	}
-	out := v.([]*Run)
+	for i := misses; i < len(sizes); i++ {
+		s.metrics.RunHit()
+	}
 	s.noteRuns(out...)
 	return out, nil
+}
+
+// simulate runs the sizes that are still uncached as one batch, checks
+// the output once and stores the runs. It reports how many runs it
+// stored.
+func (s *Suite) simulate(name, cfg string, sizes []int, key func(int) string) (int, error) {
+	var todo []int
+	s.cc.mu.Lock()
+	for _, sz := range sizes {
+		// Re-check under the flight: an earlier call may have filled
+		// the cache since the caller's lookup.
+		if s.cc.runs[key(sz)] == nil {
+			todo = append(todo, sz)
+		}
+	}
+	s.cc.mu.Unlock()
+	if len(todo) == 0 {
+		return 0, nil
+	}
+	c, b, err := s.compiled(name, cfg)
+	if err != nil {
+		return 0, err
+	}
+	// Simulate into this suite's sinks: a shared Cache hands out
+	// compiles made by other suites, whose Obs and PMU belong to them.
+	own := *c
+	own.Config.Obs, own.Config.PMU = s.obs, s.pmu
+	results, err := own.RunSweep(todo, s.cc.engine)
+	if err != nil {
+		return 0, err
+	}
+	// The batch shares one final memory image; checking it once checks
+	// every capacity's run.
+	if err := b.Check(results[0].Mem); err != nil {
+		return 0, fmt.Errorf("%s/%s@%v: output check: %w", name, cfg, todo, err)
+	}
+	static := 0
+	for _, fc := range c.Code.Funcs {
+		static += fc.OpCount()
+	}
+	stored := 0
+	s.cc.mu.Lock()
+	defer s.cc.mu.Unlock()
+	for i, sz := range todo {
+		if s.cc.runs[key(sz)] != nil {
+			// Another call landed first; keep its pointer so the
+			// memoization stays pointer-stable for every caller.
+			continue
+		}
+		s.cc.runs[key(sz)] = &Run{Bench: name, Config: cfg, BufferOps: sz,
+			Stats: results[i].Stats, Pass: c.Stats, StaticOps: static,
+			Profile: results[i].Profile}
+		stored++
+	}
+	return stored, nil
 }
 
 // verifyKeySuffix segregates verify-enabled entries in a shared Cache.
@@ -429,37 +399,9 @@ func verifyKeySuffix(verify bool) string {
 	return ""
 }
 
-// runUncached is the verified simulation behind RunAt.
-func (s *Suite) runUncached(name, cfg string, bufferOps int) (*Run, error) {
-	c, b, err := s.compiled(name, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.RunWithBuffer(bufferOps)
-	if err != nil {
-		return nil, err
-	}
-	if err := b.Check(res.Mem); err != nil {
-		return nil, fmt.Errorf("%s/%s@%d: output check: %w", name, cfg, bufferOps, err)
-	}
-	static := 0
-	for _, fc := range c.Code.Funcs {
-		static += fc.OpCount()
-	}
-	return &Run{Bench: name, Config: cfg, BufferOps: bufferOps,
-		Stats: res.Stats, Pass: c.Stats, StaticOps: static,
-		Profile: res.Profile}, nil
-}
-
-// Disasm returns the aggressive-config scheduled-code listing of a
-// benchmark (all functions).
-func (s *Suite) Disasm(name string) (string, error) {
-	return s.DisasmConfig(name, "aggressive")
-}
-
-// DisasmConfig is Disasm under an explicit config name (any name
-// compiled() accepts, e.g. "aggressive-optimal" for the exact
-// modulo-scheduling backend).
+// DisasmConfig returns the scheduled-code listing (all functions) of a
+// benchmark under a config name compiled() accepts ("aggressive", or
+// "aggressive-optimal" for the exact modulo-scheduling backend).
 func (s *Suite) DisasmConfig(name, cfg string) (string, error) {
 	c, _, err := s.compiled(name, cfg)
 	if err != nil {
@@ -482,8 +424,8 @@ type Fig7Row struct {
 }
 
 // Figure7 computes the Figure 7(a) (traditional) or 7(b) (aggressive)
-// curves for all benchmarks. The sweep is scheduled as a compile →
-// fan-out simulate → reduce job graph (see graphs.go); rows come back
+// curves for all benchmarks. The sweep runs as compile and simulate
+// jobs per benchmark plus a reduce (see jobs.go); rows come back
 // in benchmark-table order regardless of completion order.
 func (s *Suite) Figure7(cfg string, sizes []int) ([]Fig7Row, error) {
 	return s.Figure7Ctx(context.Background(), cfg, sizes)
@@ -523,7 +465,7 @@ type Fig8aRow struct {
 }
 
 // Figure8a computes the Figure 8(a) ratios at the paper's 256-op
-// buffer, scheduled as a job graph.
+// buffer, scheduled on the suite's runner.
 func (s *Suite) Figure8a() ([]Fig8aRow, error) {
 	return s.Figure8aCtx(context.Background())
 }
@@ -568,7 +510,7 @@ type Fig8bRow struct {
 }
 
 // Figure8b computes Figure 8(b), normalized to buffer-less issue of
-// traditionally optimized code, scheduled as a job graph.
+// traditionally optimized code, scheduled on the suite's runner.
 func (s *Suite) Figure8b() ([]Fig8bRow, error) {
 	return s.Figure8bCtx(context.Background())
 }
@@ -867,21 +809,22 @@ type Headline struct {
 }
 
 // ComputeHeadline runs everything needed for the abstract's numbers,
-// scheduled as one job graph over the 256-op runs of every benchmark.
+// over the 256-op runs of every benchmark.
 func (s *Suite) ComputeHeadline() (*Headline, error) {
 	return s.ComputeHeadlineCtx(context.Background())
 }
 
-// reduceHeadline folds the 256-op runs (in benchmark-table order) into
-// the headline aggregates; the power terms reuse fig8bRow so they are
-// bit-identical to Figure 8(b)'s.
-func reduceHeadline(names []string, tr, ag map[string]*Run) *Headline {
+// reduceHeadline folds the traditional/aggressive 256-op run pairs
+// (indexed like names, in benchmark-table order) into the headline
+// aggregates; the power terms reuse fig8bRow so they are bit-identical
+// to Figure 8(b)'s.
+func reduceHeadline(names []string, runs [][2]*Run) *Headline {
 	h := &Headline{}
 	excluded := map[string]bool{"jpegenc": true, "mpeg2enc": true}
 	model := power.Default()
 	n := 0
-	for _, name := range names {
-		t, a := tr[name], ag[name]
+	for i, name := range names {
+		t, a := runs[i][0], runs[i][1]
 		h.AvgSpeedup += float64(t.Stats.Cycles) / float64(a.Stats.Cycles)
 		if !excluded[name] {
 			h.BufferIssueTraditional += t.Stats.BufferIssueRatio()

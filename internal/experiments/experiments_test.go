@@ -153,7 +153,7 @@ func TestAblationVariantsRun(t *testing.T) {
 		t.Skip("compiles several variants")
 	}
 	s := New()
-	rows, err := s.Ablation("adpcmenc")
+	rows, err := s.AblationBackend("adpcmenc", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestEncodingCosts(t *testing.T) {
 
 func TestDisasmShowsKernels(t *testing.T) {
 	s := New()
-	text, err := s.Disasm("adpcmenc")
+	text, err := s.DisasmConfig("adpcmenc", "aggressive")
 	if err != nil {
 		t.Fatal(err)
 	}

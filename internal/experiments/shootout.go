@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"lpbuf/internal/core"
-	"lpbuf/internal/runner"
 	"lpbuf/internal/sched"
 )
 
@@ -98,40 +97,21 @@ func (s *Suite) Shootout() ([]ShootoutRow, error) {
 	return s.ShootoutCtx(context.Background())
 }
 
-// ShootoutCtx is Shootout with caller-controlled cancellation,
-// scheduled as a compile-pair → simulate-pair → reduce job graph.
+// ShootoutCtx is Shootout with caller-controlled cancellation: one
+// compile and one 256-op simulate job per (benchmark, backend), then a
+// reduce.
 func (s *Suite) ShootoutCtx(ctx context.Context) ([]ShootoutRow, error) {
-	g := runner.NewGraph()
-	var needs []string
-	for _, name := range Benchmarks() {
-		for _, cfg := range []string{"aggressive", "aggressive-optimal"} {
-			g.MustAdd(s.compileSpec(name, cfg))
-			sp := s.simulateSpec(name, cfg, 256)
-			needs = append(needs, compileKey(name, cfg), sp.Key)
-			g.MustAdd(sp)
-		}
-	}
-	g.MustAdd(runner.Spec{
-		Key:   "reduce/shootout",
-		Kind:  runner.KindReduce,
-		Needs: needs,
-		Run: func(_ context.Context, deps map[string]any) (any, error) {
-			var rows []ShootoutRow
-			for _, name := range Benchmarks() {
-				rows = append(rows, shootoutRow(name,
-					deps[compileKey(name, "aggressive")].(*core.Compiled),
-					deps[compileKey(name, "aggressive-optimal")].(*core.Compiled),
-					deps[simulateKey(name, "aggressive", 256)].(*Run),
-					deps[simulateKey(name, "aggressive-optimal", 256)].(*Run)))
-			}
-			return rows, nil
-		},
-	})
-	res, err := s.run.Execute(ctx, g)
+	cs, runs, err := s.pairRuns(ctx, [2]string{"aggressive", "aggressive-optimal"})
 	if err != nil {
 		return nil, err
 	}
-	return res["reduce/shootout"].([]ShootoutRow), nil
+	return reduce(ctx, s, "reduce/shootout", func() []ShootoutRow {
+		var rows []ShootoutRow
+		for i, name := range Benchmarks() {
+			rows = append(rows, shootoutRow(name, cs[i][0], cs[i][1], runs[i][0], runs[i][1]))
+		}
+		return rows
+	})
 }
 
 // RenderShootout formats the shoot-out comparison.

@@ -84,3 +84,33 @@ func TestSweepSharesRunCache(t *testing.T) {
 		t.Errorf("run misses = %d, want 2 (solo 256, sweep 64)", snap.RunMisses)
 	}
 }
+
+// TestSharedCacheRunsReportToRequester checks that a simulation of a
+// compile cached by another suite reports into the requesting suite's
+// sinks: the second suite's registry counts sim.runs for its own RunAt
+// and RunSweepAt, and the compiling suite's registry sees none of them.
+func TestSharedCacheRunsReportToRequester(t *testing.T) {
+	cache := NewCache()
+	aObs := obs.New(obs.Config{Metrics: true})
+	a := NewWithOptions(Options{Cache: cache, Obs: aObs})
+	if _, err := a.RunAt("adpcmenc", "aggressive", 256); err != nil {
+		t.Fatal(err)
+	}
+	bObs := obs.New(obs.Config{Metrics: true})
+	b := NewWithOptions(Options{Cache: cache, Obs: bObs})
+	if _, err := b.RunAt("adpcmenc", "aggressive", 64); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.RunSweepAt("adpcmenc", "aggressive", []int{16, 32}); err != nil {
+		t.Fatal(err)
+	}
+	if m := b.Metrics(); m.CacheMisses != 0 || m.RunMisses != 3 {
+		t.Fatalf("second suite: %d compiles, %d run misses; want 0 and 3", m.CacheMisses, m.RunMisses)
+	}
+	if got := bObs.Registry().Snapshot().Counters["sim.runs"]; got != 3 {
+		t.Errorf("second suite counted sim.runs = %d, want 3", got)
+	}
+	if got := aObs.Registry().Snapshot().Counters["sim.runs"]; got != 1 {
+		t.Errorf("compiling suite counted sim.runs = %d, want its own 1", got)
+	}
+}

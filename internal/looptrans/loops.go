@@ -38,16 +38,6 @@ type LoopExit struct {
 // Contains reports whether the loop body includes block id.
 func (l *Loop) Contains(id ir.BlockID) bool { return l.Blocks[id] }
 
-// BlockIDs returns the loop's blocks in ascending order.
-func (l *Loop) BlockIDs() []ir.BlockID {
-	out := make([]ir.BlockID, 0, len(l.Blocks))
-	for id := range l.Blocks {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Dominators computes the immediate-dominator-free dominance sets with
 // the classic iterative bitvector algorithm. dom[b] contains every
 // block dominating b (including b).

@@ -3,7 +3,6 @@ package perfgate
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -407,15 +406,4 @@ func verdictCell(row Row) string {
 		s += " (" + row.Note + ")"
 	}
 	return s
-}
-
-// SortRows orders rows by (bench, metric) — used by callers that merge
-// reports before rendering.
-func SortRows(rows []Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Bench != rows[j].Bench {
-			return rows[i].Bench < rows[j].Bench
-		}
-		return rows[i].Metric < rows[j].Metric
-	})
 }

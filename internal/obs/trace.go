@@ -231,11 +231,6 @@ func WriteChromeTraceCounters(w io.Writer, t *Trace, sim *SimTrace, counters []C
 	return enc.Encode(file)
 }
 
-// WriteChromeTraceFile is WriteChromeTrace to a file path.
-func WriteChromeTraceFile(path string, t *Trace, sim *SimTrace) error {
-	return WriteChromeTraceCountersFile(path, t, sim, nil)
-}
-
 // WriteChromeTraceCountersFile is WriteChromeTraceCounters to a file
 // path.
 func WriteChromeTraceCountersFile(path string, t *Trace, sim *SimTrace, counters []CounterSeries) error {

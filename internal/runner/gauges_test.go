@@ -9,50 +9,41 @@ import (
 )
 
 // TestQueueAndInFlightGauges tracks the runner.queue_depth and
-// runner.jobs_in_flight gauges through a graph execution: jobs admitted
-// to the graph count as queued, move to in-flight as a worker picks
-// them up, and both gauges settle to zero when the graph completes.
+// runner.jobs_in_flight gauges through an execution: items admitted to
+// Execute count as queued until a worker picks them up, running jobs
+// count as in flight, and both gauges settle to zero at the end.
 func TestQueueAndInFlightGauges(t *testing.T) {
-	m := NewMetrics()
+	reg := obs.NewRegistry()
+	m := NewMetricsIn(reg)
 	r := New(WithWorkers(1), WithMetrics(m))
 
 	gate := make(chan struct{})
 	seen := make(chan struct{})
-	g := NewGraph()
-	g.MustAdd(Spec{Key: "slow", Kind: KindCompile,
-		Run: func(context.Context, map[string]any) (any, error) {
-			close(seen)
-			<-gate
-			return 1, nil
-		}})
-	g.MustAdd(Spec{Key: "after", Kind: KindSimulate, Needs: []string{"slow"},
-		Run: func(_ context.Context, deps map[string]any) (any, error) {
-			return deps["slow"].(int) + 1, nil
-		}})
-
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.Execute(context.Background(), g)
-		done <- err
+		done <- r.Execute(context.Background(), 2, func(ctx context.Context, i int) error {
+			if i == 1 {
+				return r.Job(ctx, KindSimulate, "after", func() error { return nil })
+			}
+			return r.Job(ctx, KindCompile, "slow", func() error {
+				close(seen)
+				<-gate
+				return nil
+			})
+		})
 	}()
 	<-seen
-	// One job is executing, the dependent one is admitted but unstarted.
-	if got := m.InFlight(); got != 1 {
-		t.Errorf("InFlight = %d mid-run, want 1", got)
-	}
-	if got := m.QueueDepth(); got != 1 {
-		t.Errorf("QueueDepth = %d mid-run, want 1", got)
-	}
+	// One job is executing, the second item is admitted but unstarted.
 	snap := m.Snapshot()
 	if snap.InFlight != 1 || snap.QueueDepth != 1 {
 		t.Errorf("Snapshot in_flight=%d queue_depth=%d mid-run, want 1/1",
 			snap.InFlight, snap.QueueDepth)
 	}
-	reg := m.Registry().Snapshot()
-	if got := reg.Gauges["runner.jobs_in_flight"]; got != 1 {
+	gauges := reg.Snapshot().Gauges
+	if got := gauges["runner.jobs_in_flight"]; got != 1 {
 		t.Errorf("runner.jobs_in_flight gauge = %v, want 1", got)
 	}
-	if got := reg.Gauges["runner.queue_depth"]; got != 1 {
+	if got := gauges["runner.queue_depth"]; got != 1 {
 		t.Errorf("runner.queue_depth gauge = %v, want 1", got)
 	}
 
@@ -60,38 +51,38 @@ func TestQueueAndInFlightGauges(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if m.InFlight() != 0 || m.QueueDepth() != 0 {
+	if snap := m.Snapshot(); snap.InFlight != 0 || snap.QueueDepth != 0 {
 		t.Fatalf("gauges did not settle: in_flight=%d queue_depth=%d",
-			m.InFlight(), m.QueueDepth())
+			snap.InFlight, snap.QueueDepth)
 	}
-	reg = m.Registry().Snapshot()
-	if reg.Gauges["runner.jobs_in_flight"] != 0 || reg.Gauges["runner.queue_depth"] != 0 {
-		t.Fatalf("registry gauges did not settle: %v", reg.Gauges)
+	gauges = reg.Snapshot().Gauges
+	if gauges["runner.jobs_in_flight"] != 0 || gauges["runner.queue_depth"] != 0 {
+		t.Fatalf("registry gauges did not settle: %v", gauges)
 	}
 }
 
-// TestQueueGaugeDrainsOnFailure proves never-started jobs are unqueued
-// when a graph aborts, so admission layers don't see phantom depth.
+// TestQueueGaugeDrainsOnFailure proves never-started items are
+// unqueued when an execution aborts, so admission layers don't see
+// phantom depth.
 func TestQueueGaugeDrainsOnFailure(t *testing.T) {
-	m := NewMetrics()
+	reg := obs.NewRegistry()
+	m := NewMetricsIn(reg)
 	r := New(WithWorkers(1), WithMetrics(m))
-	g := NewGraph()
-	g.MustAdd(Spec{Key: "boom", Kind: KindCompile,
-		Run: func(context.Context, map[string]any) (any, error) {
-			return nil, errors.New("kaboom")
-		}})
-	g.MustAdd(Spec{Key: "never", Kind: KindSimulate, Needs: []string{"boom"},
-		Run: func(context.Context, map[string]any) (any, error) {
-			return 1, nil
-		}})
-	if _, err := r.Execute(context.Background(), g); err == nil {
-		t.Fatal("failing graph succeeded")
+	err := r.Execute(context.Background(), 3, func(ctx context.Context, i int) error {
+		if i == 0 {
+			return r.Job(ctx, KindCompile, "boom", func() error { return errors.New("kaboom") })
+		}
+		return r.Job(ctx, KindSimulate, "never", func() error { return nil })
+	})
+	if err == nil {
+		t.Fatal("failing execution succeeded")
 	}
-	if got := m.QueueDepth(); got != 0 {
-		t.Fatalf("QueueDepth = %d after failed graph, want 0", got)
+	snap := m.Snapshot()
+	if got := snap.QueueDepth; got != 0 {
+		t.Fatalf("QueueDepth = %d after failed execution, want 0", got)
 	}
-	if got := m.InFlight(); got != 0 {
-		t.Fatalf("InFlight = %d after failed graph, want 0", got)
+	if got := snap.InFlight; got != 0 {
+		t.Fatalf("InFlight = %d after failed execution, want 0", got)
 	}
 }
 

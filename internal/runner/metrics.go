@@ -9,7 +9,7 @@ import (
 )
 
 // Metrics aggregates the runner's structured event stream: jobs
-// run/failed/retried, wall time split by job kind, compile- and
+// run/failed, wall time split by job kind, compile- and
 // run-cache hit/miss counts, peak in-flight jobs, and a per-job timing
 // record for the JSON artifact. The scalar counters live in an
 // obs.Registry (under "runner.*" names), so they appear in metrics
@@ -21,14 +21,13 @@ type Metrics struct {
 
 	jobsRun     *obs.Counter
 	jobsFailed  *obs.Counter
-	retries     *obs.Counter
 	cacheHits   *obs.Counter // compile cache
 	cacheMisses *obs.Counter // actual compiles
 	runHits     *obs.Counter // simulation-result cache
 	runMisses   *obs.Counter // actual simulations
 	peak        *obs.Gauge
 	inFlightG   *obs.Gauge     // current jobs executing (runner.jobs_in_flight)
-	queueG      *obs.Gauge     // admitted-but-unstarted jobs (runner.queue_depth)
+	queueG      *obs.Gauge     // admitted-but-unstarted items (runner.queue_depth)
 	wall        *obs.Histogram // per-job wall time, ms
 
 	mu       sync.Mutex
@@ -57,7 +56,6 @@ func NewMetricsIn(reg *obs.Registry) *Metrics {
 		reg:         reg,
 		jobsRun:     reg.Counter("runner.jobs_run"),
 		jobsFailed:  reg.Counter("runner.jobs_failed"),
-		retries:     reg.Counter("runner.retries"),
 		cacheHits:   reg.Counter("runner.compile_cache_hits"),
 		cacheMisses: reg.Counter("runner.compile_cache_misses"),
 		runHits:     reg.Counter("runner.run_cache_hits"),
@@ -70,30 +68,19 @@ func NewMetricsIn(reg *obs.Registry) *Metrics {
 	}
 }
 
-// Registry exposes the backing registry (for snapshots/expvar).
-func (m *Metrics) Registry() *obs.Registry { return m.reg }
-
 func (m *Metrics) jobStart() int {
 	m.mu.Lock()
 	m.inFlight++
 	n := m.inFlight
-	dequeued := false
-	if m.queued > 0 {
-		m.queued--
-		dequeued = true
-	}
 	m.mu.Unlock()
 	m.peak.Max(float64(n))
 	m.inFlightG.Add(1)
-	if dequeued {
-		m.queueG.Add(-1)
-	}
 	return n
 }
 
-// enqueue records n jobs admitted to a graph but not yet started.
-// Execute calls it once per graph; jobStart moves a job from queued to
-// in flight, and unqueue drops whatever a cancelled graph never ran.
+// enqueue records n items admitted to an Execute but not yet started.
+// Execute calls it once, then unqueues each item as a worker picks it
+// up and, on the way out, whatever a cancelled execution never ran.
 func (m *Metrics) enqueue(n int) {
 	if n <= 0 {
 		return
@@ -104,7 +91,8 @@ func (m *Metrics) enqueue(n int) {
 	m.queueG.Add(float64(n))
 }
 
-// unqueue removes n never-started jobs (graph cancelled or failed).
+// unqueue removes n items from the queue (started, or never started
+// because the execution was cancelled or failed).
 func (m *Metrics) unqueue(n int) {
 	if n <= 0 {
 		return
@@ -118,46 +106,27 @@ func (m *Metrics) unqueue(n int) {
 	m.queueG.Add(float64(-n))
 }
 
-// InFlight reports the jobs currently executing. Admission-control
-// layers poll it (alongside QueueDepth) to decide whether new work
-// should be accepted.
-func (m *Metrics) InFlight() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.inFlight
-}
-
-// QueueDepth reports jobs admitted to an executing graph that have not
-// started yet.
-func (m *Metrics) QueueDepth() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.queued
-}
-
-func (m *Metrics) retry() { m.retries.Inc() }
-
-func (m *Metrics) jobDone(s *Spec, elapsed time.Duration, err error) {
+func (m *Metrics) jobDone(kind Kind, key string, elapsed time.Duration, err error) {
 	m.jobsRun.Inc()
 	if err != nil {
 		m.jobsFailed.Inc()
 	}
 	m.wall.Observe(elapsed.Milliseconds())
-	m.reg.Counter("runner.kind." + string(s.Kind) + ".jobs").Inc()
+	m.reg.Counter("runner.kind." + string(kind) + ".jobs").Inc()
 	m.inFlightG.Add(-1)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.inFlight--
-	kc := m.kinds[s.Kind]
+	kc := m.kinds[kind]
 	if kc == nil {
 		kc = &kindCounter{}
-		m.kinds[s.Kind] = kc
+		m.kinds[kind] = kc
 	}
 	kc.jobs++
 	kc.wall += elapsed
 	m.jobs = append(m.jobs, JobRecord{
-		Key:    s.Key,
-		Kind:   string(s.Kind),
+		Key:    key,
+		Kind:   string(kind),
 		WallMS: float64(elapsed) / float64(time.Millisecond),
 		OK:     err == nil,
 	})
@@ -175,9 +144,6 @@ func (m *Metrics) RunHit() { m.runHits.Inc() }
 // RunMiss counts an actual simulation execution.
 func (m *Metrics) RunMiss() { m.runMisses.Inc() }
 
-// CacheMisses reports how many compiles actually executed.
-func (m *Metrics) CacheMisses() int64 { return m.cacheMisses.Value() }
-
 // JobRecord is the per-job timing entry of the JSON artifact.
 type JobRecord struct {
 	Key    string  `json:"key"`
@@ -194,8 +160,10 @@ type KindSnapshot struct {
 
 // Snapshot is the JSON-marshalable view of the counters.
 type Snapshot struct {
-	JobsRun      int64 `json:"jobs_run"`
-	JobsFailed   int64 `json:"jobs_failed"`
+	JobsRun    int64 `json:"jobs_run"`
+	JobsFailed int64 `json:"jobs_failed"`
+	// Retries always reads 0: jobs are never retried. The field stays
+	// so the lpbuf.artifact/v1 schema does not move.
 	Retries      int64 `json:"retries"`
 	CacheHits    int64 `json:"compile_cache_hits"`
 	CacheMisses  int64 `json:"compile_cache_misses"`
@@ -204,7 +172,7 @@ type Snapshot struct {
 	PeakInFlight int   `json:"peak_in_flight"`
 	// InFlight/QueueDepth are live-gauge reads, interesting only while
 	// jobs are executing (admission control snapshots mid-run); both
-	// settle to zero once every graph completes, so they are omitted
+	// settle to zero once every execution completes, so they are omitted
 	// from at-rest artifacts and the golden schema is unchanged.
 	InFlight   int                     `json:"in_flight,omitempty"`
 	QueueDepth int                     `json:"queue_depth,omitempty"`
@@ -217,16 +185,7 @@ type Snapshot struct {
 // Safe to call while jobs are running: the scalar counters are atomic
 // registry reads and the job/kind tables are copied under the mutex.
 func (m *Metrics) Snapshot() Snapshot {
-	s := Snapshot{
-		JobsRun:      m.jobsRun.Value(),
-		JobsFailed:   m.jobsFailed.Value(),
-		Retries:      m.retries.Value(),
-		CacheHits:    m.cacheHits.Value(),
-		CacheMisses:  m.cacheMisses.Value(),
-		RunHits:      m.runHits.Value(),
-		RunMisses:    m.runMisses.Value(),
-		PeakInFlight: int(m.peak.Value()),
-	}
+	var s Snapshot
 	m.mu.Lock()
 	s.InFlight = m.inFlight
 	s.QueueDepth = m.queued
@@ -239,6 +198,15 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	s.Jobs = append([]JobRecord(nil), m.jobs...)
 	m.mu.Unlock()
+	// The counters are read after the job table: jobDone counts a job
+	// before recording it, so JobsRun never trails len(Jobs).
+	s.JobsRun = m.jobsRun.Value()
+	s.JobsFailed = m.jobsFailed.Value()
+	s.CacheHits = m.cacheHits.Value()
+	s.CacheMisses = m.cacheMisses.Value()
+	s.RunHits = m.runHits.Value()
+	s.RunMisses = m.runMisses.Value()
+	s.PeakInFlight = int(m.peak.Value())
 	sort.Slice(s.Jobs, func(i, j int) bool {
 		if s.Jobs[i].Key != s.Jobs[j].Key {
 			return s.Jobs[i].Key < s.Jobs[j].Key

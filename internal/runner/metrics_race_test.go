@@ -17,24 +17,18 @@ import (
 // must be internally sane, and the final counts must be exact. Run
 // with -race (CI does) to catch unsynchronized access.
 func TestSnapshotConcurrentWithJobs(t *testing.T) {
-	m := NewMetrics()
+	reg := obs.NewRegistry()
+	m := NewMetricsIn(reg)
 	tr := obs.NewTrace(0)
 	r := New(WithWorkers(4), WithMetrics(m), WithTrace(tr))
 
 	const jobs = 200
-	g := NewGraph()
 	var ran atomic.Int64
-	for i := 0; i < jobs; i++ {
-		g.MustAdd(Spec{
-			Key:  fmt.Sprintf("job%03d", i),
-			Kind: KindSimulate,
-			Run: func(ctx context.Context, deps map[string]any) (any, error) {
-				m.CacheHit()
-				m.RunMiss()
-				ran.Add(1)
-				return nil, nil
-			},
-		})
+	job := func() error {
+		m.CacheHit()
+		m.RunMiss()
+		ran.Add(1)
+		return nil
 	}
 
 	stop := make(chan struct{})
@@ -59,12 +53,12 @@ func TestSnapshotConcurrentWithJobs(t *testing.T) {
 						len(snap.Jobs), snap.JobsRun)
 					return
 				}
-				reg := m.Registry().Snapshot()
-				if reg.Counters["runner.jobs_run"] < 0 {
+				rs := reg.Snapshot()
+				if rs.Counters["runner.jobs_run"] < 0 {
 					t.Error("negative counter")
 					return
 				}
-				if _, err := json.Marshal(reg); err != nil {
+				if _, err := json.Marshal(rs); err != nil {
 					t.Errorf("registry snapshot not marshalable: %v", err)
 					return
 				}
@@ -72,7 +66,10 @@ func TestSnapshotConcurrentWithJobs(t *testing.T) {
 		}()
 	}
 
-	if _, err := r.Execute(context.Background(), g); err != nil {
+	err := r.Execute(context.Background(), jobs, func(ctx context.Context, i int) error {
+		return r.Job(ctx, KindSimulate, fmt.Sprintf("job%03d", i), job)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	close(stop)
@@ -85,23 +82,23 @@ func TestSnapshotConcurrentWithJobs(t *testing.T) {
 	if len(snap.Jobs) != jobs {
 		t.Fatalf("job records = %d, want %d", len(snap.Jobs), jobs)
 	}
-	reg := m.Registry().Snapshot()
-	if reg.Counters["runner.jobs_run"] != jobs {
-		t.Fatalf("registry jobs_run = %d, want %d", reg.Counters["runner.jobs_run"], jobs)
+	rs := reg.Snapshot()
+	if rs.Counters["runner.jobs_run"] != jobs {
+		t.Fatalf("registry jobs_run = %d, want %d", rs.Counters["runner.jobs_run"], jobs)
 	}
-	if reg.Counters["runner.compile_cache_hits"] != jobs ||
-		reg.Counters["runner.run_cache_misses"] != jobs {
-		t.Fatalf("cache counters wrong: %+v", reg.Counters)
+	if rs.Counters["runner.compile_cache_hits"] != jobs ||
+		rs.Counters["runner.run_cache_misses"] != jobs {
+		t.Fatalf("cache counters wrong: %+v", rs.Counters)
 	}
-	if reg.Counters["runner.kind.simulate.jobs"] != jobs {
-		t.Fatalf("kind counter = %d, want %d", reg.Counters["runner.kind.simulate.jobs"], jobs)
+	if rs.Counters["runner.kind.simulate.jobs"] != jobs {
+		t.Fatalf("kind counter = %d, want %d", rs.Counters["runner.kind.simulate.jobs"], jobs)
 	}
-	if got := reg.Gauges["runner.peak_in_flight"]; got < 1 || got > 4 {
+	if got := rs.Gauges["runner.peak_in_flight"]; got < 1 || got > 4 {
 		t.Fatalf("peak in flight = %v, want 1..4", got)
 	}
-	if reg.Histograms["runner.job_wall_ms"].Count != jobs {
+	if rs.Histograms["runner.job_wall_ms"].Count != jobs {
 		t.Fatalf("wall histogram count = %d, want %d",
-			reg.Histograms["runner.job_wall_ms"].Count, jobs)
+			rs.Histograms["runner.job_wall_ms"].Count, jobs)
 	}
 	// One span per job was recorded.
 	spans := 0

@@ -1,18 +1,17 @@
-// Package runner is the experiment-execution subsystem: it turns
-// figure/table regeneration into a scheduled, observable, cacheable
-// job graph. Jobs are declared as Specs with explicit dependencies
-// (compile → fan-out simulate → reduce), validated into a DAG, and
-// executed by a bounded worker pool with per-job retry on transient
-// errors and context cancellation on the first hard failure. A
-// singleflight group (Flight) deduplicates concurrent identical work,
-// and Metrics collects the structured event stream (job start/finish,
-// wall time split by kind, cache hit/miss counters, peak in-flight)
-// both for a human progress log and for the JSON artifact.
+// Package runner is the experiment-execution subsystem: it runs a
+// figure's (benchmark, config) items as a bounded parallel-for and
+// observes every job they perform. Each item runs its jobs in order
+// (compile, then simulate or analyze); the caller reduces the results
+// in table order. Every job goes through one wrapper that waits for a
+// worker slot, emits start/done/fail events, opens a job span and
+// records Metrics (wall time split by kind, cache hit/miss counters,
+// peak in-flight), both for a human progress log and for the JSON
+// artifact. The first failure cancels the rest. A singleflight group
+// (Flight) deduplicates concurrent identical work.
 package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -22,13 +21,25 @@ import (
 	"lpbuf/internal/obs"
 )
 
-// Runner executes job graphs on a bounded worker pool. The bound is
-// global: concurrent Execute calls on the same Runner share one
-// semaphore, so total in-flight jobs never exceed Workers().
+// Kind classifies a job for the compile/simulate wall-time split in
+// the metrics and the progress log.
+type Kind string
+
+// The experiment job kinds.
+const (
+	KindCompile  Kind = "compile"
+	KindSimulate Kind = "simulate"
+	KindAnalyze  Kind = "analyze"
+	KindReduce   Kind = "reduce"
+)
+
+// Runner runs jobs on a bounded worker pool. The bound is global:
+// concurrent Execute calls and jobs on the same Runner share one
+// semaphore, so total in-flight jobs never exceed the worker bound.
 //
-// A job's Run function must not call Execute on the same Runner; jobs
-// only ever wait on the scheduler, never on other jobs directly, which
-// is what makes the semaphore deadlock-free.
+// A job holds its worker slot only while its own function runs and
+// never waits on another job, which is what makes the semaphore
+// deadlock-free.
 type Runner struct {
 	workers int
 	sem     chan struct{}
@@ -66,8 +77,8 @@ func WithObserver(fn func(Event)) Option {
 	return func(r *Runner) { r.onEvent = fn }
 }
 
-// WithTrace records one span per job (kind, key, attempts, outcome)
-// into the given trace. Nil disables job spans.
+// WithTrace records one span per job (kind, key, outcome) into the
+// given trace. Nil disables job spans.
 func WithTrace(t *obs.Trace) Option {
 	return func(r *Runner) { r.trace = t }
 }
@@ -82,168 +93,81 @@ func New(opts ...Option) *Runner {
 	return r
 }
 
-// Workers reports the concurrency bound.
-func (r *Runner) Workers() int { return r.workers }
-
-// Metrics returns the runner's counters.
-func (r *Runner) Metrics() *Metrics { return r.metrics }
-
-// Execute runs every job of the graph, honouring dependencies, and
-// returns the job results keyed by Spec.Key. On the first hard (non,
-// or no longer, transient) job failure the remaining jobs are
-// cancelled and the failure is returned.
-func (r *Runner) Execute(ctx context.Context, g *Graph) (map[string]any, error) {
-	if err := g.validate(); err != nil {
-		return nil, err
-	}
-	total := len(g.order)
-	if total == 0 {
-		return map[string]any{}, nil
-	}
+// Execute calls item(ctx, i) for every i in [0, n) on at most
+// worker-bound goroutines, handing out indices in order. The first item
+// error cancels the context the others see, stops the hand-out, and
+// is returned. Items run their work through Job.
+func (r *Runner) Execute(ctx context.Context, n int, item func(ctx context.Context, i int) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Every admitted job counts toward the queue-depth gauge until it
-	// starts; whatever a cancelled or failed graph never starts is
-	// dropped from the gauge on the way out.
-	var started atomic.Int64
-	r.metrics.enqueue(total)
-	defer func() { r.metrics.unqueue(total - int(started.Load())) }()
+	// Items not yet handed out count toward the queue-depth gauge;
+	// whatever a cancelled execution never starts is dropped from it on
+	// the way out.
+	var next atomic.Int64
+	r.metrics.enqueue(n)
+	defer func() { r.metrics.unqueue(n - int(min(next.Load(), int64(n)))) }()
 
 	var (
-		mu         sync.Mutex
-		res        = make(map[string]any, total)
-		pending    = make(map[string]int, total)
-		dependents = make(map[string][]string, total)
-		done       int
-		errOnce    sync.Once
-		execErr    error
+		errOnce sync.Once
+		execErr error
+		wg      sync.WaitGroup
 	)
-	// Buffered to the graph size so completions never block on it.
-	ready := make(chan *Spec, total)
-	for _, key := range g.order {
-		s := g.specs[key]
-		if len(s.Needs) == 0 {
-			ready <- s
-			continue
-		}
-		pending[key] = len(s.Needs)
-		for _, d := range s.Needs {
-			dependents[d] = append(dependents[d], key)
-		}
-	}
-	fail := func(err error) {
-		errOnce.Do(func() { execErr = err; cancel() })
-	}
-	complete := func(s *Spec, v any) {
-		mu.Lock()
-		defer mu.Unlock()
-		res[s.Key] = v
-		done++
-		for _, dk := range dependents[s.Key] {
-			pending[dk]--
-			if pending[dk] == 0 {
-				delete(pending, dk)
-				ready <- g.specs[dk]
-			}
-		}
-		if done == total {
-			close(ready)
-		}
-	}
-	depsOf := func(s *Spec) map[string]any {
-		if len(s.Needs) == 0 {
-			return nil
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		deps := make(map[string]any, len(s.Needs))
-		for _, d := range s.Needs {
-			deps[d] = res[d]
-		}
-		return deps
-	}
-
-	workers := r.workers
-	if workers > total {
-		workers = total
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for w := 0; w < min(r.workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-ctx.Done():
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
 					return
-				case s, ok := <-ready:
-					if !ok {
-						return
-					}
-					select {
-					case <-ctx.Done():
-						return
-					case r.sem <- struct{}{}:
-					}
-					if ctx.Err() != nil {
-						<-r.sem
-						return
-					}
-					started.Add(1)
-					v, err := r.runJob(ctx, s, depsOf(s))
-					<-r.sem
-					if err != nil {
-						fail(fmt.Errorf("%s %s: %w", s.Kind, s.Key, err))
-						return
-					}
-					complete(s, v)
+				}
+				r.metrics.unqueue(1)
+				if err := item(ctx, i); err != nil {
+					errOnce.Do(func() { execErr = err; cancel() })
+					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
 	if execErr != nil {
-		return nil, execErr
+		return execErr
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return ctx.Err()
 }
 
-// runJob runs one job with retry-on-transient, recording metrics and
-// emitting events.
-func (r *Runner) runJob(ctx context.Context, s *Spec, deps map[string]any) (any, error) {
-	inFlight := r.metrics.jobStart()
-	r.emit(Event{Type: EventStart, Key: s.Key, Kind: s.Kind, InFlight: inFlight})
-	span := r.trace.StartSpan("job." + string(s.Kind))
-	span.SetAttr("key", s.Key)
-	start := time.Now()
-	var v any
-	var err error
-	attempts := 1
-	for attempt := 0; ; attempt++ {
-		v, err = s.Run(ctx, deps)
-		if err == nil || ctx.Err() != nil || !IsTransient(err) || attempt >= s.Retries {
-			attempts = attempt + 1
-			break
-		}
-		r.metrics.retry()
-		r.emit(Event{Type: EventRetry, Key: s.Key, Kind: s.Kind,
-			Attempt: attempt + 1, Err: err.Error()})
+// Job runs fn as one observed job: it waits for a worker slot, emits
+// EventStart, opens a "job.<kind>" span, records the job in Metrics
+// and emits EventDone or EventFail. A job cancelled before it gets a
+// slot never starts and returns ctx.Err(); a failure is returned as
+// "<kind> <key>: <err>".
+func (r *Runner) Job(ctx context.Context, kind Kind, key string, fn func() error) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case r.sem <- struct{}{}:
 	}
+	defer func() { <-r.sem }()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	inFlight := r.metrics.jobStart()
+	r.emit(Event{Type: EventStart, Key: key, Kind: kind, InFlight: inFlight})
+	span := r.trace.StartSpan("job." + string(kind))
+	span.SetAttr("key", key)
+	start := time.Now()
+	err := fn()
 	elapsed := time.Since(start)
-	r.metrics.jobDone(s, elapsed, err)
-	span.SetInt("attempts", attempts)
+	r.metrics.jobDone(kind, key, elapsed, err)
 	span.SetAttr("ok", err == nil)
 	span.End()
 	if err != nil {
-		r.emit(Event{Type: EventFail, Key: s.Key, Kind: s.Kind, Elapsed: elapsed, Err: err.Error()})
-		return nil, err
+		r.emit(Event{Type: EventFail, Key: key, Kind: kind, Elapsed: elapsed, Err: err.Error()})
+		return fmt.Errorf("%s %s: %w", kind, key, err)
 	}
-	r.emit(Event{Type: EventDone, Key: s.Key, Kind: s.Kind, Elapsed: elapsed})
-	return v, nil
+	r.emit(Event{Type: EventDone, Key: key, Kind: kind, Elapsed: elapsed})
+	return nil
 }
 
 func (r *Runner) emit(e Event) {
@@ -252,27 +176,4 @@ func (r *Runner) emit(e Event) {
 	}
 	e.Time = time.Now()
 	r.onEvent(e)
-}
-
-// transientError marks an error as safe to retry.
-type transientError struct{ err error }
-
-func (t *transientError) Error() string { return t.err.Error() }
-func (t *transientError) Unwrap() error { return t.err }
-
-// Transient wraps err so the runner retries the job (up to
-// Spec.Retries times). Deterministic failures — a miscompiled
-// benchmark, a failed output check — must not be wrapped.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err}
-}
-
-// IsTransient reports whether err (or anything it wraps) was marked
-// with Transient.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
 }

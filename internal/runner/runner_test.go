@@ -11,83 +11,69 @@ import (
 	"time"
 )
 
-func ok(v any) func(context.Context, map[string]any) (any, error) {
-	return func(context.Context, map[string]any) (any, error) { return v, nil }
-}
-
-func TestGraphValidation(t *testing.T) {
-	g := NewGraph()
-	if err := g.Add(Spec{Key: "", Run: ok(1)}); err == nil {
-		t.Fatal("empty key accepted")
-	}
-	if err := g.Add(Spec{Key: "a"}); err == nil {
-		t.Fatal("nil Run accepted")
-	}
-	if err := g.Add(Spec{Key: "a", Run: ok(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Add(Spec{Key: "a", Run: ok(2)}); err == nil {
-		t.Fatal("duplicate key accepted")
-	}
-
-	r := New(WithWorkers(2))
-	bad := NewGraph()
-	bad.MustAdd(Spec{Key: "x", Needs: []string{"missing"}, Run: ok(1)})
-	if _, err := r.Execute(context.Background(), bad); err == nil || !strings.Contains(err.Error(), "unknown job") {
-		t.Fatalf("unknown dep: %v", err)
-	}
-
-	cyc := NewGraph()
-	cyc.MustAdd(Spec{Key: "a", Needs: []string{"b"}, Run: ok(1)})
-	cyc.MustAdd(Spec{Key: "b", Needs: []string{"a"}, Run: ok(1)})
-	if _, err := r.Execute(context.Background(), cyc); err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Fatalf("cycle: %v", err)
-	}
-}
+// noop is a job body that succeeds.
+func noop() error { return nil }
 
 func TestExecuteEmptyGraph(t *testing.T) {
-	res, err := New().Execute(context.Background(), NewGraph())
-	if err != nil || len(res) != 0 {
-		t.Fatalf("empty graph: %v %v", res, err)
+	m := NewMetrics()
+	r := New(WithMetrics(m))
+	called := false
+	if err := r.Execute(context.Background(), 0, func(context.Context, int) error {
+		called = true
+		return nil
+	}); err != nil || called {
+		t.Fatalf("empty execution: called=%v err=%v", called, err)
+	}
+	if snap := m.Snapshot(); snap.JobsRun != 0 {
+		t.Fatalf("empty execution ran jobs: %+v", snap)
 	}
 }
 
-// TestExecuteDiamond checks that results flow through a diamond DAG
-// and that every job sees exactly its declared dependencies.
-func TestExecuteDiamond(t *testing.T) {
-	g := NewGraph()
-	g.MustAdd(Spec{Key: "top", Kind: KindCompile, Run: ok(10)})
-	g.MustAdd(Spec{Key: "left", Kind: KindSimulate, Needs: []string{"top"},
-		Run: func(_ context.Context, deps map[string]any) (any, error) {
-			return deps["top"].(int) + 1, nil
-		}})
-	g.MustAdd(Spec{Key: "right", Kind: KindSimulate, Needs: []string{"top"},
-		Run: func(_ context.Context, deps map[string]any) (any, error) {
-			return deps["top"].(int) + 2, nil
-		}})
-	g.MustAdd(Spec{Key: "bottom", Kind: KindReduce, Needs: []string{"left", "right"},
-		Run: func(_ context.Context, deps map[string]any) (any, error) {
-			if len(deps) != 2 {
-				return nil, fmt.Errorf("got %d deps", len(deps))
-			}
-			return deps["left"].(int) * deps["right"].(int), nil
-		}})
-	r := New(WithWorkers(4))
-	res, err := r.Execute(context.Background(), g)
+// TestExecuteItemsThenReduce checks the figure shape: each item runs
+// its compile then its simulate job, and a reduce job afterwards sees
+// every item's result.
+func TestExecuteItemsThenReduce(t *testing.T) {
+	m := NewMetrics()
+	r := New(WithWorkers(4), WithMetrics(m))
+	ctx := context.Background()
+	const n = 5
+	got := make([]int, n)
+	err := r.Execute(ctx, n, func(ctx context.Context, i int) error {
+		var c int
+		if err := r.Job(ctx, KindCompile, fmt.Sprintf("compile/%d", i), func() error {
+			c = 10 * i
+			return nil
+		}); err != nil {
+			return err
+		}
+		return r.Job(ctx, KindSimulate, fmt.Sprintf("simulate/%d", i), func() error {
+			got[i] = c + 1
+			return nil
+		})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res["bottom"].(int) != 11*12 {
-		t.Fatalf("bottom = %v", res["bottom"])
+	sum := 0
+	if err := r.Job(ctx, KindReduce, "reduce", func() error {
+		for _, v := range got {
+			sum += v
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	snap := r.Metrics().Snapshot()
-	if snap.JobsRun != 4 || snap.JobsFailed != 0 {
+	if sum != 10*(0+1+2+3+4)+n {
+		t.Fatalf("sum = %d", sum)
+	}
+	snap := m.Snapshot()
+	if snap.JobsRun != 2*n+1 || snap.JobsFailed != 0 || snap.Retries != 0 {
 		t.Fatalf("snapshot: %+v", snap)
 	}
-	if snap.Kinds["simulate"].Jobs != 2 {
-		t.Fatalf("simulate kind count: %+v", snap.Kinds)
+	if snap.Kinds["simulate"].Jobs != n || snap.Kinds["reduce"].Jobs != 1 {
+		t.Fatalf("kind counts: %+v", snap.Kinds)
 	}
-	if len(snap.Jobs) != 4 {
+	if len(snap.Jobs) != 2*n+1 || snap.Jobs[0].Key != "compile/0" {
 		t.Fatalf("job records: %+v", snap.Jobs)
 	}
 }
@@ -96,9 +82,10 @@ func TestExecuteDiamond(t *testing.T) {
 // including across concurrent Execute calls sharing one Runner.
 func TestConcurrencyBound(t *testing.T) {
 	const bound = 3
-	r := New(WithWorkers(bound))
+	m := NewMetrics()
+	r := New(WithWorkers(bound), WithMetrics(m))
 	var inFlight, peak atomic.Int64
-	job := func(context.Context, map[string]any) (any, error) {
+	job := func() error {
 		n := inFlight.Add(1)
 		for {
 			p := peak.Load()
@@ -108,18 +95,17 @@ func TestConcurrencyBound(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 		inFlight.Add(-1)
-		return nil, nil
+		return nil
 	}
 	var wg sync.WaitGroup
 	for e := 0; e < 3; e++ {
-		g := NewGraph()
-		for i := 0; i < 10; i++ {
-			g.MustAdd(Spec{Key: fmt.Sprintf("j%d", i), Run: job})
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := r.Execute(context.Background(), g); err != nil {
+			err := r.Execute(context.Background(), 10, func(ctx context.Context, i int) error {
+				return r.Job(ctx, KindSimulate, fmt.Sprintf("j%d", i), job)
+			})
+			if err != nil {
 				t.Error(err)
 			}
 		}()
@@ -128,7 +114,7 @@ func TestConcurrencyBound(t *testing.T) {
 	if p := peak.Load(); p > bound {
 		t.Fatalf("peak in-flight %d exceeds bound %d", p, bound)
 	}
-	if snap := r.Metrics().Snapshot(); snap.PeakInFlight > bound || snap.JobsRun != 30 {
+	if snap := m.Snapshot(); snap.PeakInFlight > bound || snap.JobsRun != 30 {
 		t.Fatalf("metrics: %+v", snap)
 	}
 }
@@ -178,84 +164,30 @@ func TestFlightDedup(t *testing.T) {
 	}
 }
 
-func TestRetryTransient(t *testing.T) {
-	r := New(WithWorkers(1))
-	g := NewGraph()
-	var attempts int
-	g.MustAdd(Spec{Key: "flaky", Retries: 2,
-		Run: func(context.Context, map[string]any) (any, error) {
-			attempts++
-			if attempts < 3 {
-				return nil, Transient(fmt.Errorf("attempt %d", attempts))
-			}
-			return "done", nil
-		}})
-	res, err := r.Execute(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attempts != 3 || res["flaky"] != "done" {
-		t.Fatalf("attempts=%d res=%v", attempts, res)
-	}
-	if snap := r.Metrics().Snapshot(); snap.Retries != 2 {
-		t.Fatalf("retries: %+v", snap)
-	}
-
-	// A hard error is never retried, even with a retry budget.
-	g2 := NewGraph()
-	hard := 0
-	g2.MustAdd(Spec{Key: "hard", Retries: 5,
-		Run: func(context.Context, map[string]any) (any, error) {
-			hard++
-			return nil, errors.New("deterministic failure")
-		}})
-	if _, err := r.Execute(context.Background(), g2); err == nil {
-		t.Fatal("hard failure not reported")
-	}
-	if hard != 1 {
-		t.Fatalf("hard job ran %d times", hard)
-	}
-}
-
-func TestTransientMarker(t *testing.T) {
-	base := errors.New("io hiccup")
-	if !IsTransient(Transient(base)) {
-		t.Fatal("Transient not detected")
-	}
-	if !IsTransient(fmt.Errorf("wrapped: %w", Transient(base))) {
-		t.Fatal("wrapped Transient not detected")
-	}
-	if IsTransient(base) || IsTransient(nil) || Transient(nil) != nil {
-		t.Fatal("false positives")
-	}
-	if !errors.Is(Transient(base), base) {
-		t.Fatal("Transient hides the cause")
-	}
-}
-
-// TestCancellationOnFailure checks that the first hard failure cancels
-// the run: queued jobs never start and the failure is reported.
+// TestCancellationOnFailure checks that the first failure cancels the
+// execution: later items never start and the failure is reported with
+// its job kind and key.
 func TestCancellationOnFailure(t *testing.T) {
-	r := New(WithWorkers(1))
-	g := NewGraph()
+	m := NewMetrics()
+	r := New(WithWorkers(1), WithMetrics(m))
 	var started atomic.Int64
-	g.MustAdd(Spec{Key: "boom", Kind: KindCompile,
-		Run: func(context.Context, map[string]any) (any, error) {
-			return nil, errors.New("bad compile")
-		}})
-	for i := 0; i < 5; i++ {
-		g.MustAdd(Spec{Key: fmt.Sprintf("later%d", i),
-			Run: func(context.Context, map[string]any) (any, error) {
-				started.Add(1)
-				return nil, nil
-			}})
-	}
-	_, err := r.Execute(context.Background(), g)
+	err := r.Execute(context.Background(), 6, func(ctx context.Context, i int) error {
+		if i == 0 {
+			return r.Job(ctx, KindCompile, "boom", func() error { return errors.New("bad compile") })
+		}
+		return r.Job(ctx, KindSimulate, fmt.Sprintf("later%d", i), func() error {
+			started.Add(1)
+			return nil
+		})
+	})
 	if err == nil || !strings.Contains(err.Error(), "compile boom: bad compile") {
 		t.Fatalf("error: %v", err)
 	}
 	if n := started.Load(); n != 0 {
 		t.Fatalf("%d queued jobs ran after the failure", n)
+	}
+	if snap := m.Snapshot(); snap.JobsRun != 1 || snap.JobsFailed != 1 {
+		t.Fatalf("metrics: %+v", snap)
 	}
 }
 
@@ -263,25 +195,26 @@ func TestCancellationOnFailure(t *testing.T) {
 // observes ctx cancellation when a sibling fails.
 func TestCancellationReachesRunningJobs(t *testing.T) {
 	r := New(WithWorkers(2))
-	g := NewGraph()
 	observed := make(chan struct{})
-	g.MustAdd(Spec{Key: "slow",
-		Run: func(ctx context.Context, _ map[string]any) (any, error) {
-			select {
-			case <-ctx.Done():
-				close(observed)
-				return nil, ctx.Err()
-			case <-time.After(5 * time.Second):
-				return nil, errors.New("never cancelled")
-			}
-		}})
-	g.MustAdd(Spec{Key: "boom",
-		Run: func(context.Context, map[string]any) (any, error) {
+	err := r.Execute(context.Background(), 2, func(ctx context.Context, i int) error {
+		if i == 0 {
+			return r.Job(ctx, KindSimulate, "slow", func() error {
+				select {
+				case <-ctx.Done():
+					close(observed)
+					return ctx.Err()
+				case <-time.After(5 * time.Second):
+					return errors.New("never cancelled")
+				}
+			})
+		}
+		return r.Job(ctx, KindSimulate, "boom", func() error {
 			time.Sleep(5 * time.Millisecond) // let "slow" start first
-			return nil, errors.New("hard failure")
-		}})
-	if _, err := r.Execute(context.Background(), g); err == nil {
-		t.Fatal("no error")
+			return errors.New("hard failure")
+		})
+	})
+	if err == nil || !strings.Contains(err.Error(), "hard failure") {
+		t.Fatalf("error: %v", err)
 	}
 	select {
 	case <-observed:
@@ -293,18 +226,23 @@ func TestCancellationReachesRunningJobs(t *testing.T) {
 func TestParentContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	r := New(WithWorkers(1))
-	g := NewGraph()
-	g.MustAdd(Spec{Key: "waits",
-		Run: func(ctx context.Context, _ map[string]any) (any, error) {
-			<-ctx.Done()
-			return nil, ctx.Err()
-		}})
 	go func() {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := r.Execute(ctx, g); !errors.Is(err, context.Canceled) {
+	err := r.Execute(ctx, 1, func(ctx context.Context, _ int) error {
+		return r.Job(ctx, KindSimulate, "waits", func() error {
+			<-ctx.Done()
+			return ctx.Err()
+		})
+	})
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error: %v", err)
+	}
+	// A job asked for after cancellation never starts.
+	ran := false
+	if err := r.Job(ctx, KindReduce, "late", func() error { ran = true; return nil }); !errors.Is(err, context.Canceled) || ran {
+		t.Fatalf("late job: ran=%v err=%v", ran, err)
 	}
 }
 
@@ -313,14 +251,18 @@ func TestLogObserver(t *testing.T) {
 	var mu sync.Mutex
 	obs := LogObserver(&syncWriter{w: &sb, mu: &mu})
 	r := New(WithWorkers(2), WithObserver(obs))
-	g := NewGraph()
-	g.MustAdd(Spec{Key: "c", Kind: KindCompile, Run: ok(1)})
-	g.MustAdd(Spec{Key: "s", Kind: KindSimulate, Needs: []string{"c"}, Run: ok(2)})
-	if _, err := r.Execute(context.Background(), g); err != nil {
+	ctx := context.Background()
+	if err := r.Job(ctx, KindCompile, "c", noop); err != nil {
 		t.Fatal(err)
 	}
+	if err := r.Job(ctx, KindSimulate, "s", noop); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Job(ctx, KindReduce, "r", func() error { return errors.New("bad") }); err == nil {
+		t.Fatal("failing job succeeded")
+	}
 	out := sb.String()
-	for _, want := range []string{"start", "done", "compile", "simulate"} {
+	for _, want := range []string{"start", "done", "compile", "simulate", "FAIL", "reduce", "bad"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("log lacks %q:\n%s", want, out)
 		}
@@ -338,9 +280,9 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
-// TestStressManyGraphs hammers one Runner with many concurrent graphs
-// sharing a Flight-backed memo, asserting exactly one execution per
-// distinct key (run under -race in CI).
+// TestStressManyGraphs hammers one Runner with many concurrent
+// executions sharing a Flight-backed memo, asserting exactly one
+// computation per distinct key (run under -race in CI).
 func TestStressManyGraphs(t *testing.T) {
 	r := New(WithWorkers(4))
 	var flight Flight
@@ -373,21 +315,19 @@ func TestStressManyGraphs(t *testing.T) {
 		}
 		return res.(int), nil
 	}
-	const graphs, keys = 8, 5
+	const executions, keys = 8, 5
 	var wg sync.WaitGroup
-	for gi := 0; gi < graphs; gi++ {
-		g := NewGraph()
-		for k := 0; k < keys; k++ {
-			key := fmt.Sprintf("shared-%d", k)
-			g.MustAdd(Spec{Key: fmt.Sprintf("job-%d", k), Kind: KindCompile,
-				Run: func(context.Context, map[string]any) (any, error) {
-					return get(key)
-				}})
-		}
+	for e := 0; e < executions; e++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := r.Execute(context.Background(), g); err != nil {
+			err := r.Execute(context.Background(), keys, func(ctx context.Context, k int) error {
+				return r.Job(ctx, KindCompile, fmt.Sprintf("job-%d", k), func() error {
+					_, err := get(fmt.Sprintf("shared-%d", k))
+					return err
+				})
+			})
+			if err != nil {
 				t.Error(err)
 			}
 		}()

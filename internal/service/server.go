@@ -834,73 +834,9 @@ func (s *Server) buildArtifact(j *Job) ([]byte, error) {
 			})
 		},
 	})
-	ctx := j.ctx
-	art := experiments.NewArtifact()
-	for _, fig := range j.spec.Figures {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		switch fig {
-		case "3":
-			f3, err := suite.Figure3Ctx(ctx)
-			if err != nil {
-				return nil, err
-			}
-			art.Figure3 = f3
-		case "5":
-			for _, sz := range j.spec.Fig5Sizes {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				f5, err := suite.Figure5(sz)
-				if err != nil {
-					return nil, err
-				}
-				art.Figure5 = append(art.Figure5, f5)
-			}
-		case "7":
-			art.BufferSizes = append([]int(nil), j.spec.Fig7Sizes...)
-			art.Figure7 = map[string][]experiments.Fig7Row{}
-			for _, cfgName := range []string{"traditional", "aggressive"} {
-				rows, err := suite.Figure7Ctx(ctx, cfgName, j.spec.Fig7Sizes)
-				if err != nil {
-					return nil, err
-				}
-				art.Figure7[cfgName] = rows
-			}
-		case "8a":
-			rows, err := suite.Figure8aCtx(ctx)
-			if err != nil {
-				return nil, err
-			}
-			art.Figure8a = rows
-		case "8b":
-			rows, err := suite.Figure8bCtx(ctx)
-			if err != nil {
-				return nil, err
-			}
-			art.Figure8b = rows
-		case "encoding":
-			rows, err := suite.EncodingCosts()
-			if err != nil {
-				return nil, err
-			}
-			art.Encoding = rows
-		case "headline":
-			h, err := suite.ComputeHeadlineCtx(ctx)
-			if err != nil {
-				return nil, err
-			}
-			art.Headline = h
-		case "shootout":
-			rows, err := suite.ShootoutCtx(ctx)
-			if err != nil {
-				return nil, err
-			}
-			art.Shootout = rows
-		default:
-			return nil, fmt.Errorf("unknown figure %q after normalization", fig)
-		}
+	art, err := suite.BuildArtifact(j.ctx, j.spec.Figures, j.spec.Fig5Sizes, j.spec.Fig7Sizes)
+	if err != nil {
+		return nil, err
 	}
 	if doc := suite.SimProfiles(); doc != nil {
 		j.mu.Lock()

@@ -83,12 +83,6 @@ func Snapshot() Stats {
 	return Stats{Checkpoints: checkpoints.Load(), Violations: violations.Load()}
 }
 
-// ResetStats zeroes the process-wide counters (tests).
-func ResetStats() {
-	checkpoints.Store(0)
-	violations.Store(0)
-}
-
 // note records one checkpoint's outcome in the global counters.
 func note(vs []Violation) []Violation {
 	checkpoints.Add(1)
