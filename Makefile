@@ -31,7 +31,7 @@ bench:
 # bench-headline additionally covers every paper figure (slower).
 bench-headline:
 	$(GO) run ./cmd/benchjson -benchtime 1x -count $(BENCH_COUNT) -out BENCH_simulator.json \
-		-bench 'BenchmarkFigure7Traditional|BenchmarkFigure7Aggressive,BenchmarkFigure8a|BenchmarkFigure8b|BenchmarkFigure3|BenchmarkFigure5|BenchmarkHeadline,BenchmarkSimulatorThroughput,BenchmarkSimsPerSec|BenchmarkSimsPerSecPMU'
+		-bench 'BenchmarkFigure7Traditional|BenchmarkFigure7Aggressive,BenchmarkFigure8a|BenchmarkFigure8b|BenchmarkFigure3|BenchmarkFigure5|BenchmarkHeadline,BenchmarkSimulatorThroughput,BenchmarkSimsPerSec|BenchmarkSimsPerSecPMU,./internal/sched/optimal:BenchmarkExactSearch'
 
 # benchdiff benchmarks BASE (default HEAD~1) in a detached worktree,
 # benchmarks the current tree, and runs the statistical comparison.

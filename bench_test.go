@@ -199,21 +199,45 @@ func BenchmarkSuiteConcurrent(b *testing.B) {
 	}
 }
 
+// compileG724enc compiles the heaviest benchmark's aggressive pipeline
+// directly through core, bypassing the suite's caches.
+func compileG724enc(b *testing.B, p *pmu.Config) *core.Compiled {
+	bm, ok := suite.ByName("g724enc")
+	if !ok {
+		b.Fatal("g724enc missing from the benchmark table")
+	}
+	cfg := core.Aggressive(256)
+	cfg.Name = "aggressive"
+	cfg.TraceLabel = "g724enc"
+	cfg.PMU = p
+	c, err := core.Compile(bm.Build(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
+}
+
 // BenchmarkSimulatorThroughput measures raw simulator speed on the
-// heaviest benchmark (useful when sizing longer runs).
+// heaviest benchmark: each iteration is one 256-op simulation of a
+// program compiled outside the timer, checked against the reference
+// output. One untimed run warms the engine's pooled scratch first.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	s := sharedSuite()
-	var ops, cycles int64
+	c := compileG724enc(b, nil)
+	engine := vliw.NewEngine()
+	if _, err := c.RunSweep([]int{256}, engine); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	var stats vliw.Stats
 	for i := 0; i < b.N; i++ {
-		r, err := s.RunAt("g724enc", "aggressive", 256)
+		results, err := c.RunSweep([]int{256}, engine)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ops = r.Stats.OpsIssued
-		cycles = r.Stats.Cycles
+		stats = results[0].Stats
 	}
-	b.ReportMetric(float64(ops), "sim-ops/run")
-	b.ReportMetric(float64(cycles), "sim-cycles/run")
+	b.ReportMetric(float64(stats.OpsIssued), "sim-ops/run")
+	b.ReportMetric(float64(stats.Cycles), "sim-cycles/run")
 }
 
 // BenchmarkSimsPerSec measures sustained batched-sweep throughput in
@@ -225,17 +249,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // real, and the sims/sec metric feeds the perf gate's throughput
 // baseline (cmd/benchdiff -check-throughput).
 func BenchmarkSimsPerSec(b *testing.B) {
-	bm, ok := suite.ByName("g724enc")
-	if !ok {
-		b.Fatal("g724enc missing from the benchmark table")
-	}
-	cfg := core.Aggressive(256)
-	cfg.Name = "aggressive"
-	cfg.TraceLabel = "g724enc"
-	c, err := core.Compile(bm.Build(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := compileG724enc(b, nil)
 	engine := vliw.NewEngine()
 	b.ResetTimer()
 	sims := 0
@@ -254,18 +268,7 @@ func BenchmarkSimsPerSec(b *testing.B) {
 // (cmd/benchdiff -check-pmu-overhead): sampling may cost at most its
 // budgeted fraction of the sampling-off sims/sec.
 func BenchmarkSimsPerSecPMU(b *testing.B) {
-	bm, ok := suite.ByName("g724enc")
-	if !ok {
-		b.Fatal("g724enc missing from the benchmark table")
-	}
-	cfg := core.Aggressive(256)
-	cfg.Name = "aggressive"
-	cfg.TraceLabel = "g724enc"
-	cfg.PMU = &pmu.Config{}
-	c, err := core.Compile(bm.Build(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	c := compileG724enc(b, &pmu.Config{})
 	engine := vliw.NewEngine()
 	b.ResetTimer()
 	sims := 0

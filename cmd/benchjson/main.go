@@ -11,7 +11,10 @@
 //
 // -bench is a comma-separated list of process groups; each group is a
 // benchmark-name alternation run in a fresh `go test` process, and
-// -count N runs every group in N fresh processes (one sample each).
+// -count N runs every group in N fresh processes (one sample each). A
+// group written PKG:PATTERN runs in package PKG instead of -pkg (the
+// per-layer benches live beside their layer, e.g.
+// ./internal/sched/optimal:BenchmarkExactSearch).
 // Fresh processes keep in-process caches (compile memoization, decoded
 // images) from flattering repeat numbers — each sample measures cold
 // first-run work — while grouping the two Figure 7 benches together
@@ -49,7 +52,7 @@ type sample struct {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 
 func main() {
-	bench := flag.String("bench", "BenchmarkFigure7Traditional|BenchmarkFigure7Aggressive,BenchmarkSimulatorThroughput,BenchmarkSimsPerSec|BenchmarkSimsPerSecPMU", "comma-separated process groups; each group is a benchmark-name alternation run in fresh processes")
+	bench := flag.String("bench", "BenchmarkFigure7Traditional|BenchmarkFigure7Aggressive,BenchmarkSimulatorThroughput,BenchmarkSimsPerSec|BenchmarkSimsPerSecPMU,./internal/sched/optimal:BenchmarkExactSearch", "comma-separated process groups; each group is a benchmark-name alternation (optionally PKG:alternation) run in fresh processes")
 	benchtime := flag.String("benchtime", "1x", "passed to go test -benchtime")
 	count := flag.Int("count", 3, "samples per group; each sample is one fresh go test process")
 	out := flag.String("out", "BENCH_simulator.json", "output file")
@@ -81,10 +84,14 @@ func main() {
 	var order []string
 	results := map[string]*perfgate.BenchResult{}
 	for _, pat := range strings.Split(*bench, ",") {
+		groupPkg := *pkg
+		if p, rest, ok := strings.Cut(pat, ":"); ok {
+			groupPkg, pat = p, rest
+		}
 		// One fresh process per sample: every sample of every group
 		// measures its cold first execution, never a cache-warmed rerun.
 		for i := 0; i < *count; i++ {
-			samples, err := runOne(*pkg, "^("+pat+")$", *benchtime)
+			samples, err := runOne(groupPkg, "^("+pat+")$", *benchtime)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "benchjson: %s (sample %d): %v\n", pat, i+1, err)
 				os.Exit(1)

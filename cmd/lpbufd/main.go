@@ -55,6 +55,21 @@ import (
 // drainTimeout bounds how long shutdown waits for in-flight jobs.
 const drainTimeout = 2 * time.Minute
 
+// Connection timeouts: a client must finish its request header within
+// readHeaderTimeout, and an idle keep-alive connection is closed after
+// idleTimeout. There is deliberately no write or whole-request
+// timeout: SSE streams and ?wait=1 replies stay open for as long as the
+// job runs. Variables so tests can shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in lpbufd's http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // buildLogger constructs the daemon's structured logger from the
 // -log-format / -log-level flags.
 func buildLogger(format, level string) (*slog.Logger, error) {
@@ -142,7 +157,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	logger.Info("listening",

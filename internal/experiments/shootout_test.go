@@ -10,7 +10,10 @@ import (
 // kernel at a larger II than the heuristic, must prove minimality
 // in-budget for at least 90% of the kernels it pipelines, and both
 // backends' simulations must have been bit-exact (RunAt fails
-// otherwise, so reaching the assertions implies it).
+// otherwise, so reaching the assertions implies it). The search's work
+// is pinned as data too: the node budget is deterministic, so each
+// benchmark's node count and the proven/fallback split are facts of
+// the compile that a faster search must not move.
 func TestShootoutAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the suite twice")
@@ -23,8 +26,15 @@ func TestShootoutAcceptance(t *testing.T) {
 	if len(rows) != len(Benchmarks()) {
 		t.Fatalf("%d rows, want %d", len(rows), len(Benchmarks()))
 	}
-	kernels, proven := 0, 0
+	kernels, proven, fallbacks := 0, 0, 0
 	for _, r := range rows {
+		wantNodes := int64(0)
+		if r.Bench == "g724enc" || r.Bench == "g724dec" {
+			wantNodes = 5001
+		}
+		if r.SearchNodes != wantNodes {
+			t.Errorf("%s: %d search nodes, want %d", r.Bench, r.SearchNodes, wantNodes)
+		}
 		if r.OptSumII > r.HeurSumII {
 			t.Errorf("%s: optimal total II %d exceeds heuristic %d",
 				r.Bench, r.OptSumII, r.HeurSumII)
@@ -37,6 +47,10 @@ func TestShootoutAcceptance(t *testing.T) {
 		}
 		kernels += r.Kernels
 		proven += r.Proven
+		fallbacks += r.Fallbacks
+	}
+	if proven != 55 || fallbacks != 2 {
+		t.Errorf("%d proven, %d fallbacks; want 55, 2", proven, fallbacks)
 	}
 	if kernels == 0 {
 		t.Fatal("no kernels across the suite")

@@ -38,68 +38,67 @@ type LoopExit struct {
 // Contains reports whether the loop body includes block id.
 func (l *Loop) Contains(id ir.BlockID) bool { return l.Blocks[id] }
 
-// Dominators computes the immediate-dominator-free dominance sets with
-// the classic iterative bitvector algorithm. dom[b] contains every
-// block dominating b (including b).
-func Dominators(f *ir.Func) map[ir.BlockID]map[ir.BlockID]bool {
-	all := map[ir.BlockID]bool{}
+// Dominators computes immediate dominators with the Cooper–Harvey–
+// Kennedy iterative algorithm over reverse postorder, in dense slices
+// indexed by block ID, and returns the query "a dominates b" over the
+// resulting tree. Every reachable block dominates itself; unreachable
+// blocks dominate and are dominated by nothing.
+func Dominators(f *ir.Func) (dominates func(a, b ir.BlockID) bool) {
+	n := ir.BlockID(1)
 	for _, b := range f.Blocks {
-		all[b.ID] = true
+		n = max(n, b.ID+1)
 	}
-	dom := map[ir.BlockID]map[ir.BlockID]bool{}
-	for _, b := range f.Blocks {
-		if b.ID == f.Entry {
-			dom[b.ID] = map[ir.BlockID]bool{b.ID: true}
-		} else {
-			s := map[ir.BlockID]bool{}
-			for id := range all {
-				s[id] = true
+	idom := make([]ir.BlockID, n) // 0 = unreachable or not yet known
+	po := make([]int, n)          // 1 + DFS postorder number, 0 = unvisited
+	var order []ir.BlockID
+	var dfs func(id ir.BlockID)
+	dfs = func(id ir.BlockID) {
+		po[id] = -1
+		for _, s := range f.Block(id).Succs() {
+			if po[s] == 0 {
+				dfs(s)
 			}
-			dom[b.ID] = s
 		}
+		order = append(order, id)
+		po[id] = len(order)
 	}
+	dfs(f.Entry)
 	preds := f.Preds()
+	idom[f.Entry] = f.Entry
 	for changed := true; changed; {
 		changed = false
-		for _, b := range f.Blocks {
-			if b.ID == f.Entry {
-				continue
-			}
-			var inter map[ir.BlockID]bool
-			for _, p := range preds[b.ID] {
-				dp := dom[p]
-				if inter == nil {
-					inter = map[ir.BlockID]bool{}
-					for id := range dp {
-						inter[id] = true
-					}
-				} else {
-					for id := range inter {
-						if !dp[id] {
-							delete(inter, id)
+		for i := len(order) - 2; i >= 0; i-- {
+			b, d := order[i], ir.BlockID(0)
+			for _, p := range preds[b] {
+				switch {
+				case idom[p] == 0:
+				case d == 0:
+					d = p
+				default:
+					for p != d {
+						for po[p] < po[d] {
+							p = idom[p]
+						}
+						for po[d] < po[p] {
+							d = idom[d]
 						}
 					}
 				}
 			}
-			if inter == nil {
-				inter = map[ir.BlockID]bool{}
-			}
-			inter[b.ID] = true
-			if len(inter) != len(dom[b.ID]) {
-				dom[b.ID] = inter
-				changed = true
-				continue
-			}
-			for id := range inter {
-				if !dom[b.ID][id] {
-					dom[b.ID] = inter
-					changed = true
-					break
-				}
+			if idom[b] != d {
+				idom[b], changed = d, true
 			}
 		}
 	}
-	return dom
+	return func(a, b ir.BlockID) bool {
+		if idom[a] == 0 || idom[b] == 0 {
+			return false
+		}
+		for po[b] < po[a] {
+			b = idom[b]
+		}
+		return a == b
+	}
 }
 
 // FindLoops returns the function's natural loops with nesting
@@ -107,14 +106,14 @@ func Dominators(f *ir.Func) map[ir.BlockID]map[ir.BlockID]bool {
 // by descending depth.
 func FindLoops(f *ir.Func) []*Loop {
 	f.RemoveUnreachable()
-	dom := Dominators(f)
+	dominates := Dominators(f)
 	preds := f.Preds()
 
 	// Find back edges t->h (h dominates t); group by header.
 	latches := map[ir.BlockID][]ir.BlockID{}
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs() {
-			if dom[b.ID][s] {
+			if dominates(s, b.ID) {
 				latches[s] = append(latches[s], b.ID)
 			}
 		}

@@ -2,6 +2,7 @@ package looptrans
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"lpbuf/internal/interp"
@@ -204,20 +205,20 @@ func TestMarkLoopBacks(t *testing.T) {
 func TestDominators(t *testing.T) {
 	p := addBlockProgram()
 	f := p.Funcs["main"]
-	dom := Dominators(f)
+	dominates := Dominators(f)
 	// The entry dominates everything.
 	for _, b := range f.Blocks {
-		if !dom[b.ID][f.Entry] {
+		if !dominates(f.Entry, b.ID) {
 			t.Fatalf("entry does not dominate B%d", b.ID)
 		}
-		if !dom[b.ID][b.ID] {
+		if !dominates(b.ID, b.ID) {
 			t.Fatalf("B%d does not dominate itself", b.ID)
 		}
 	}
 	// The inner loop's block is dominated by the outer header.
 	loops := FindLoops(f)
 	inner, outer := loops[0], loops[1]
-	if !dom[inner.Header][outer.Header] {
+	if !dominates(outer.Header, inner.Header) {
 		t.Fatal("outer header should dominate the inner header")
 	}
 }
@@ -244,5 +245,57 @@ func TestCountedTripsEdgeCases(t *testing.T) {
 	c = &Counted{Cmp: ir.CmpLT, BoundIsImm: true, BoundImm: 8, Step: 1}
 	if _, ok := c.Trips(); ok {
 		t.Fatal("trips computed without a known init")
+	}
+}
+
+// TestDominatorsMatchDefinition checks the dominance query on random
+// CFGs against the definition: a dominates a reachable b iff b is a,
+// or b is unreachable from the entry once a is removed.
+func TestDominatorsMatchDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 300; iter++ {
+		f := ir.NewFunc("g")
+		nb := 1 + rng.Intn(12)
+		for i := 0; i < nb; i++ {
+			f.NewBlock()
+		}
+		f.Entry = f.Blocks[0].ID
+		pick := func() ir.BlockID { return f.Blocks[rng.Intn(nb)].ID }
+		for _, b := range f.Blocks {
+			if rng.Intn(4) != 0 {
+				b.Fall = pick()
+			}
+			for k := rng.Intn(3); k > 0; k-- {
+				b.Ops = append(b.Ops, &ir.Op{Opcode: ir.OpBr, Target: pick()})
+			}
+		}
+		// reach returns the blocks reachable from the entry avoiding
+		// block skip (0 avoids nothing).
+		reach := func(skip ir.BlockID) map[ir.BlockID]bool {
+			seen := map[ir.BlockID]bool{}
+			var walk func(id ir.BlockID)
+			walk = func(id ir.BlockID) {
+				if id == skip || seen[id] {
+					return
+				}
+				seen[id] = true
+				for _, s := range f.Block(id).Succs() {
+					walk(s)
+				}
+			}
+			walk(f.Entry)
+			return seen
+		}
+		all := reach(0)
+		dominates := Dominators(f)
+		for _, a := range f.Blocks {
+			without := reach(a.ID)
+			for _, b := range f.Blocks {
+				want := all[a.ID] && all[b.ID] && (a.ID == b.ID || !without[b.ID])
+				if got := dominates(a.ID, b.ID); got != want {
+					t.Fatalf("iter %d: dominates(B%d, B%d) = %v, want %v\n%s", iter, a.ID, b.ID, got, want, f)
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package optimal
 
 import (
+	"math/bits"
 	"sort"
 	"time"
 
@@ -92,9 +93,17 @@ type solver struct {
 	nodes    int64
 	dead     bool // budget or deadline exhausted
 
-	bf      []int // Bellman-Ford stage scratch
-	matchOp []int // matching scratch: slot -> op
-	visited []bool
+	// bf holds the stage potentials of the last feasible bfFeasible
+	// call: the least fixpoint of the current node, which warm-starts
+	// the next call down the search path.
+	bf []int
+	ew []int // per-edge minimized weights, bfFeasible scratch
+	// domStack and bfStack hold each search depth's domains and
+	// potentials (n entries per depth), restored on backtrack.
+	domStack []uint64
+	bfStack  []int
+	matchOp  []int // matching scratch: slot -> op
+	visited  []bool
 }
 
 type pairCycle struct {
@@ -112,30 +121,13 @@ func ceilDiv(a, b int) int {
 }
 
 func minBit(m uint64) int {
-	for i := 0; i < 64; i++ {
-		if m&(1<<uint(i)) != 0 {
-			return i
-		}
+	if m == 0 {
+		return -1
 	}
-	return -1
+	return bits.TrailingZeros64(m)
 }
 
-func maxBit(m uint64) int {
-	for i := 63; i >= 0; i-- {
-		if m&(1<<uint(i)) != 0 {
-			return i
-		}
-	}
-	return -1
-}
-
-func popcount(m uint64) int {
-	c := 0
-	for ; m != 0; m &= m - 1 {
-		c++
-	}
-	return c
-}
+func maxBit(m uint64) int { return 63 - bits.LeadingZeros64(m) }
 
 // solveII searches for a kernel schedule at exactly the given II.
 func solveII(d *sched.DAG, m *machine.Desc, ii int, budget *int64, deadline time.Time) iiResult {
@@ -151,6 +143,8 @@ func solveII(d *sched.DAG, m *machine.Desc, ii int, budget *int64, deadline time
 		budget:     budget,
 		deadline:   deadline,
 		bf:         make([]int, n),
+		domStack:   make([]uint64, n*n),
+		bfStack:    make([]int, n*n),
 		matchOp:    make([]int, m.Width()),
 		visited:    make([]bool, m.Width()),
 	}
@@ -188,6 +182,7 @@ func solveII(d *sched.DAG, m *machine.Desc, ii int, budget *int64, deadline time
 		kept = append(kept, e)
 	}
 	sv.edges = kept
+	sv.ew = make([]int, len(kept))
 
 	// Index 2-cycles for pairwise filtering.
 	sv.twoCyc = make([][]pairCycle, n)
@@ -228,7 +223,7 @@ func solveII(d *sched.DAG, m *machine.Desc, ii int, budget *int64, deadline time
 		return iiResult{status: statusInfeasible}
 	}
 
-	found := sv.search()
+	found := sv.search(0)
 	res := iiResult{nodes: sv.nodes}
 	switch {
 	case found:
@@ -255,9 +250,10 @@ func branchSlotOf(m *machine.Desc) int {
 	return brSlots[len(brSlots)-1]
 }
 
-// search runs the propagate-and-branch loop. Returns true when a full
-// row assignment satisfying all constraints was reached.
-func (sv *solver) search() bool {
+// search runs the propagate-and-branch loop at the given depth (the
+// number of ops assigned so far). Returns true when a full row
+// assignment satisfying all constraints was reached.
+func (sv *solver) search(depth int) bool {
 	// Fail-first variable order: smallest domain, then greatest height,
 	// then lowest index.
 	op := -1
@@ -266,7 +262,7 @@ func (sv *solver) search() bool {
 		if sv.row[i] >= 0 {
 			continue
 		}
-		c := popcount(sv.dom[i])
+		c := bits.OnesCount64(sv.dom[i])
 		if c < best || (c == best && sv.d.Height[i] > sv.d.Height[op]) {
 			op, best = i, c
 		}
@@ -275,7 +271,10 @@ func (sv *solver) search() bool {
 		return true // all rows assigned; bfFeasible held after the last one
 	}
 
-	domSave := make([]uint64, sv.n)
+	domSave := sv.domStack[depth*sv.n : (depth+1)*sv.n]
+	bfSave := sv.bfStack[depth*sv.n : (depth+1)*sv.n]
+	copy(domSave, sv.dom)
+	copy(bfSave, sv.bf)
 	for r := 0; r < sv.ii; r++ {
 		if sv.dom[op]&(1<<uint(r)) == 0 {
 			continue
@@ -290,16 +289,16 @@ func (sv *solver) search() bool {
 			return false
 		}
 
-		copy(domSave, sv.dom)
 		sv.row[op] = r
 		sv.dom[op] = 1 << uint(r)
 		sv.rows[r] = append(sv.rows[r], op)
-		if sv.propagate(op, r) && sv.search() {
+		if sv.propagate(op, r) && sv.search(depth+1) {
 			return true
 		}
 		sv.rows[r] = sv.rows[r][:len(sv.rows[r])-1]
 		sv.row[op] = -1
 		copy(sv.dom, domSave)
+		copy(sv.bf, bfSave)
 		if sv.dead {
 			return false
 		}
@@ -367,17 +366,24 @@ func (sv *solver) wmin(e edge) int {
 // passes proves a positive-weight cycle, i.e. infeasibility. With all
 // rows assigned the weights are exact and this is a complete decision
 // procedure for the II.
+//
+// The passes start from sv.bf, the parent node's fixpoint, not from
+// zero. Domains only shrink down a search path, so every minimized
+// weight only rises and the parent's fixpoint lower-bounds this node's
+// least one: when a fixpoint exists the relaxation reaches that same
+// least fixpoint within n passes, usually in far fewer, and when none
+// exists it never settles, so the positive-cycle test keeps its exact
+// meaning.
 func (sv *solver) bfFeasible() bool {
-	s := sv.bf
-	for i := range s {
-		s[i] = 0
+	for k, e := range sv.edges {
+		sv.ew[k] = sv.wmin(e)
 	}
+	s := sv.bf
 	for pass := 0; pass <= sv.n; pass++ {
 		changed := false
-		for _, e := range sv.edges {
-			w := sv.wmin(e)
-			if s[e.to] < s[e.from]+w {
-				s[e.to] = s[e.from] + w
+		for k, e := range sv.edges {
+			if v := s[e.from] + sv.ew[k]; s[e.to] < v {
+				s[e.to] = v
 				changed = true
 			}
 		}

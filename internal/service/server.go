@@ -708,34 +708,42 @@ func (s *Server) finalizeFrom(j *Job, require, state State, err error, cacheHit,
 // runJob executes one queued job on a worker: store lookup first, then
 // a singleflight-deduplicated build, then an atomic store write.
 func (s *Server) runJob(j *Job) {
+	// Sample the job's resource baseline before taking any lock:
+	// ReadMemStats stops the world.
+	startCPU := cpuTimeNanos()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+
+	// The state change and the queued -> running move are one critical
+	// section, so anyone who sees the job running also sees it counted
+	// as running. s.mu before j.mu, the order Drain uses.
+	s.mu.Lock()
 	j.mu.Lock()
 	if j.state != StateQueued {
 		// Canceled while queued (drain or explicit cancel).
 		j.mu.Unlock()
+		s.mu.Unlock()
 		return
 	}
 	if j.ctx.Err() != nil {
 		j.mu.Unlock()
+		s.mu.Unlock()
 		s.finalize(j, StateCanceled, j.ctx.Err(), false, false)
 		return
 	}
 	j.state = StateRunning
 	j.startedAt = time.Now()
 	j.sampled = true
-	j.startCPU = cpuTimeNanos()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	j.startCPU = startCPU
 	j.startAllocs = ms.TotalAlloc
 	j.mu.Unlock()
-	j.queueSpan.End()
-	j.queueSpan = nil
-
-	s.mu.Lock()
 	s.queued--
 	s.running++
 	s.gQueued.SetInt(int64(s.queued))
 	s.gRunning.SetInt(int64(s.running))
 	s.mu.Unlock()
+	j.queueSpan.End()
+	j.queueSpan = nil
 	s.flightrec.record(FlightRecord{
 		Kind:    "transition",
 		JobID:   j.id,

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -293,6 +294,39 @@ func TestQueueFullRejects(t *testing.T) {
 	}
 	if got := s.Registry().Snapshot().Counters["service.jobs_rejected"]; got != 1 {
 		t.Fatalf("jobs_rejected = %d, want 1", got)
+	}
+}
+
+// TestRunningLeavesQueueAtOnce checks that a job is never seen running
+// while the server still counts it as queued: runJob moves the job's
+// state and the queued/running counts in one critical section. Each
+// round spins on the job's state without sleeping, so it reads the
+// counts right after the transition.
+func TestRunningLeavesQueueAtOnce(t *testing.T) {
+	s := testServer(t, Config{MaxJobs: 1, QueueDepth: 1})
+	release := make(chan struct{})
+	defer close(release)
+	s.build = blockingBuild(release)
+	for i := 0; i < 20; i++ {
+		j, err := s.Submit(JobSpec{Figures: []string{"7"}, Fig7Sizes: []int{16 + i}}, "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for j.Status().State == StateQueued {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: job never left the queue", i)
+			}
+			runtime.Gosched()
+		}
+		s.mu.Lock()
+		queued, running := s.queued, s.running
+		s.mu.Unlock()
+		if st := j.Status().State; st != StateRunning || queued != 0 || running != 1 {
+			t.Fatalf("round %d: job %s with %d queued, %d running; want running, 0, 1", i, st, queued, running)
+		}
+		release <- struct{}{}
+		<-j.Done()
 	}
 }
 
