@@ -101,7 +101,7 @@ func main() {
 	listen := flag.String("listen", "", "HTTP listen address")
 	storeDir := flag.String("store", "", "artifact store directory")
 	maxJobs := flag.Int("max-jobs", 0, "concurrently executing jobs")
-	workers := flag.Int("workers", -1, "per-job runner parallelism (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", -1, "per-job runner parallelism (0 = the whole compute pool, one slot per processor)")
 	queueDepth := flag.Int("queue", 0, "queued-job admission bound")
 	maxPerClient := flag.Int("max-per-client", 0, "per-client active-job cap")
 	doVerify := flag.Bool("verify", false, "phase checkpoints on every compile")

@@ -82,6 +82,11 @@ type Suite struct {
 type Options struct {
 	// Workers bounds in-flight jobs; <=0 uses runtime.GOMAXPROCS(0).
 	Workers int
+	// Slots, when set, is a job-slot pool shared with other suites:
+	// their jobs together stay within cap(Slots) (lpbufd gives every
+	// job's suite one process-wide pool). Nil gives the suite a pool of
+	// Workers slots.
+	Slots runner.Slots
 	// OnEvent observes the runner's job event stream (progress log).
 	OnEvent func(runner.Event)
 	// Verify enables the internal/verify phase checkpoints on every
@@ -116,7 +121,7 @@ func New() *Suite {
 // worker bound and/or event observer.
 func NewWithOptions(o Options) *Suite {
 	m := runner.NewMetricsIn(o.Obs.Registry())
-	opts := []runner.Option{runner.WithMetrics(m)}
+	opts := []runner.Option{runner.WithMetrics(m), runner.WithSlots(o.Slots)}
 	if o.Workers > 0 {
 		opts = append(opts, runner.WithWorkers(o.Workers))
 	}

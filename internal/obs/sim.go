@@ -78,23 +78,27 @@ const DefaultSimEvents = 1 << 16
 
 // SimTrace is a bounded ring buffer of simulator events: writes past
 // the capacity overwrite the oldest entries, so memory stays O(ring)
-// however long the run. Emit takes a mutex (the simulator is
-// single-goroutine per run; cross-run sharing is still safe) and
-// stores by value. A nil *SimTrace is a no-op sink.
+// however long the run. The ring itself is allocated by the first
+// emit, so a trace nothing simulates into (a store-hit job's scope)
+// costs a few words, not capacity events. Emit takes a mutex (the
+// simulator is single-goroutine per run; cross-run sharing is still
+// safe) and stores by value. A nil *SimTrace is a no-op sink.
 type SimTrace struct {
 	mu    sync.Mutex
-	ring  []SimEvent
+	size  int
+	ring  []SimEvent // nil until the first emit, then len size
 	next  int
 	total int64
 }
 
 // NewSimTrace creates a ring with the given capacity (<= 0 uses
-// DefaultSimEvents).
+// DefaultSimEvents). The capacity is fixed here; the storage is not
+// allocated until the first event arrives.
 func NewSimTrace(capacity int) *SimTrace {
 	if capacity <= 0 {
 		capacity = DefaultSimEvents
 	}
-	return &SimTrace{ring: make([]SimEvent, capacity)}
+	return &SimTrace{size: capacity}
 }
 
 // Emit records one event, overwriting the oldest when full. No-op (and
@@ -104,6 +108,9 @@ func (s *SimTrace) Emit(ev SimEvent) {
 		return
 	}
 	s.mu.Lock()
+	if s.ring == nil {
+		s.ring = make([]SimEvent, s.size)
+	}
 	s.ring[s.next] = ev
 	s.next++
 	if s.next == len(s.ring) {
@@ -123,6 +130,9 @@ func (s *SimTrace) EmitBatch(evs []SimEvent) {
 		return
 	}
 	s.mu.Lock()
+	if s.ring == nil {
+		s.ring = make([]SimEvent, s.size)
+	}
 	for _, ev := range evs {
 		s.ring[s.next] = ev
 		s.next++
@@ -152,7 +162,7 @@ func (s *SimTrace) Events() []SimEvent {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := len(s.ring)
+	n := s.size
 	if s.total < int64(n) {
 		n = int(s.total)
 		out := make([]SimEvent, n)

@@ -1,6 +1,9 @@
 package obs
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // emitSequential replays evs through Emit one at a time into a fresh
 // ring of the given capacity — the reference behaviour EmitBatch must
@@ -140,3 +143,70 @@ func TestEmitBatchNilAndEmpty(t *testing.T) {
 
 // makeEventsStatic avoids per-iteration allocation inside AllocsPerRun.
 var makeEventsStatic = makeEvents(3)
+
+// TestNewSimTraceDefersRing: constructing a ring allocates only the
+// header, and the first Emit or EmitBatch allocates the full capacity.
+// Reading an untouched ring allocates no storage either.
+func TestNewSimTraceDefersRing(t *testing.T) {
+	const capacity = 1 << 12
+	const n = 64
+	traces := make([]*SimTrace, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range traces {
+		traces[i] = NewSimTrace(capacity)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 1<<10 {
+		t.Fatalf("NewSimTrace(%d) allocates %d bytes, want < 1 KiB", capacity, per)
+	}
+	s := traces[0]
+	if s.Total() != 0 || len(s.Events()) != 0 || s.ring != nil {
+		t.Fatalf("untouched ring: total=%d events=%d storage=%d", s.Total(), len(s.Events()), len(s.ring))
+	}
+	s.Emit(SimEvent{Cycle: 1})
+	if len(s.ring) != capacity {
+		t.Fatalf("first Emit allocated %d slots, want %d", len(s.ring), capacity)
+	}
+	b := traces[1]
+	b.EmitBatch(makeEvents(2))
+	if len(b.ring) != capacity {
+		t.Fatalf("first EmitBatch allocated %d slots, want %d", len(b.ring), capacity)
+	}
+	runtime.KeepAlive(traces)
+}
+
+// TestLazyRingMatchesEagerRing: a ring allocated on first emit retains
+// exactly what a preallocated ring retains — the last min(n, capacity)
+// events, oldest first, with Total counting every event — around the
+// empty, single, nearly-full, full and multiply-wrapped cases.
+func TestLazyRingMatchesEagerRing(t *testing.T) {
+	const capacity = 16
+	for _, n := range []int{0, 1, capacity - 1, capacity, 3*capacity + 5} {
+		evs := makeEvents(n)
+		want := evs
+		if n > capacity {
+			want = evs[n-capacity:]
+		}
+		batched := NewSimTrace(capacity)
+		batched.EmitBatch(evs)
+		for _, c := range []struct {
+			label string
+			s     *SimTrace
+		}{{"emit", emitSequential(capacity, evs)}, {"batch", batched}} {
+			label, s := c.label, c.s
+			if s.Total() != int64(n) {
+				t.Fatalf("%s n=%d: total = %d, want %d", label, n, s.Total(), n)
+			}
+			got := s.Events()
+			if len(got) != len(want) {
+				t.Fatalf("%s n=%d: retained = %d, want %d", label, n, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s n=%d: event %d = %+v, want %+v", label, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

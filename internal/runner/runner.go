@@ -35,14 +35,15 @@ const (
 
 // Runner runs jobs on a bounded worker pool. The bound is global:
 // concurrent Execute calls and jobs on the same Runner share one
-// semaphore, so total in-flight jobs never exceed the worker bound.
+// semaphore, so total in-flight jobs never exceed the worker bound
+// (or the shared pool's size, see WithSlots).
 //
 // A job holds its worker slot only while its own function runs and
 // never waits on another job, which is what makes the semaphore
 // deadlock-free.
 type Runner struct {
 	workers int
-	sem     chan struct{}
+	sem     Slots
 	metrics *Metrics
 	onEvent func(Event)
 	trace   *obs.Trace
@@ -50,6 +51,22 @@ type Runner struct {
 
 // Option configures a Runner.
 type Option func(*Runner)
+
+// Slots is a pool of worker slots. A job holds one slot while its
+// function runs; Runners built WithSlots share the pool, so their jobs
+// together never run more than cap(Slots) at once.
+type Slots chan struct{}
+
+// NewSlots makes a pool of n slots (at least 1).
+func NewSlots(n int) Slots { return make(Slots, max(n, 1)) }
+
+// WithSlots makes the runner take its job slots from a pool shared
+// with other runners instead of a pool of its own. The worker bound
+// still caps the goroutines one Execute starts. Nil keeps a private
+// pool.
+func WithSlots(s Slots) Option {
+	return func(r *Runner) { r.sem = s }
+}
 
 // WithWorkers bounds in-flight jobs. Values below 1 keep the default
 // (runtime.GOMAXPROCS(0)).
@@ -89,7 +106,9 @@ func New(opts ...Option) *Runner {
 	for _, o := range opts {
 		o(r)
 	}
-	r.sem = make(chan struct{}, r.workers)
+	if r.sem == nil {
+		r.sem = NewSlots(r.workers)
+	}
 	return r
 }
 

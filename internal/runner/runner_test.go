@@ -119,6 +119,45 @@ func TestConcurrencyBound(t *testing.T) {
 	}
 }
 
+// TestSharedSlotsBoundAcrossRunners checks that runners sharing a
+// slot pool stay within its size together, each with a worker bound of
+// its own above it.
+func TestSharedSlotsBoundAcrossRunners(t *testing.T) {
+	const slots = 2
+	pool := NewSlots(slots)
+	var inFlight, peak atomic.Int64
+	job := func() error {
+		n := inFlight.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		time.Sleep(2 * time.Millisecond)
+		inFlight.Add(-1)
+		return nil
+	}
+	var wg sync.WaitGroup
+	for e := 0; e < 3; e++ {
+		r := New(WithWorkers(4), WithSlots(pool))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := r.Execute(context.Background(), 10, func(ctx context.Context, i int) error {
+				return r.Job(ctx, KindSimulate, fmt.Sprintf("j%d", i), job)
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if p := peak.Load(); p != slots {
+		t.Fatalf("peak in-flight across runners %d, want the pool size %d", p, slots)
+	}
+}
+
 // TestFlightDedup checks that concurrent same-key calls share one
 // execution and all observe its result.
 func TestFlightDedup(t *testing.T) {

@@ -25,7 +25,9 @@ type Config struct {
 	// MaxJobs bounds concurrently executing jobs (worker goroutines).
 	MaxJobs int `json:"max_jobs"`
 	// Workers bounds each job's runner pool (compiles/simulations in
-	// flight within one job). 0 means GOMAXPROCS.
+	// flight within one job). 0 means the size of the process-wide
+	// compute pool, GOMAXPROCS at startup, which bounds all jobs'
+	// compiles and simulations together.
 	Workers int `json:"workers"`
 	// QueueDepth bounds queued-but-unstarted jobs; past it submissions
 	// get 429 + Retry-After.

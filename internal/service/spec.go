@@ -257,9 +257,9 @@ type JobStatus struct {
 
 // JobResources is one job's resource accounting. CPU time and
 // allocations are process-wide deltas sampled around the job's
-// execution window — exact when the job ran alone, an upper bound when
-// other jobs overlapped it — and are omitted for jobs served without a
-// build (store hits, canceled-before-start).
+// execution window — exact (allocations to within a span) when the job
+// ran alone, an upper bound when other jobs overlapped it — and are
+// omitted when zero, as for jobs canceled before they started.
 type JobResources struct {
 	// WallMS is time from start of execution to the terminal state.
 	WallMS float64 `json:"wall_ms"`
@@ -268,7 +268,9 @@ type JobResources struct {
 	// CPUMS is process CPU time (user+system) consumed across the
 	// execution window.
 	CPUMS float64 `json:"cpu_ms,omitempty"`
-	// AllocBytes is heap allocated across the execution window.
+	// AllocBytes is heap allocated across the execution window, read
+	// from runtime/metrics without stopping the world. It is counted a
+	// span at a time, so it is exact to within a span per P.
 	AllocBytes int64 `json:"alloc_bytes,omitempty"`
 	// Provenance records how the artifact was produced: "computed",
 	// "store-hit" or "inflight-dedup" (same vocabulary as the

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -118,4 +120,92 @@ func TestStatusValidate(t *testing.T) {
 			t.Errorf("%s: invalid status accepted", name)
 		}
 	}
+}
+
+// FuzzJobSpec fuzzes the submit boundary: an untrusted body through
+// the handler's decoder, then Normalized and Key. Decoding never
+// panics, normalizing a normalized spec changes nothing, and the key
+// survives re-encoding the normalized spec and decoding it again (what
+// lpbuf -submit and a store shared between daemons rely on). Run with:
+//
+//	go test -run Fuzz -fuzz=FuzzJobSpec -fuzztime=30s ./internal/service
+func FuzzJobSpec(f *testing.F) {
+	// The warm spec shapes of the service-mix benchmark workload.
+	for _, spec := range []JobSpec{
+		{Figures: []string{"7"}},
+		{Figures: []string{"8a"}},
+		{Figures: []string{"8b"}},
+		{Figures: []string{"headline"}},
+		{Figures: []string{"5"}},
+		{Figures: []string{"3"}},
+		{Figures: []string{"encoding"}},
+		{Figures: []string{"7", "8a", "8b", "headline"}},
+		{Figures: []string{"5"}, Fig5Sizes: []int{128}},
+		{Figures: []string{"7"}, Fig7Sizes: []int{64, 256}},
+		{Figures: []string{"8a", "8b"}},
+		{Figures: []string{"3", "5"}},
+	} {
+		body, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, body := range []string{
+		``,
+		`{`,
+		`null`,
+		`[]`,
+		`"7"`,
+		`{"figures":[7]}`,
+		`{"figures":["ALL"," 5 ","5"],"client":"\u00ff\ud800"}`,
+		`{"schema":"lpbuf.job/v2","figures":["3"]}`,
+		`{"figures":["7"],"fig7_sizes":[-1]}`,
+		`{"figures":["7"],"fig7_sizes":[1e400]}`,
+		`{"figures":["5"],"fig5_sizes":[9223372036854775807,1,1]}`,
+		`{"figures":["3"],"bogus":true}`,
+		`{"figures":["3"],"verify":"yes"}`,
+		`{"figures":["3"]} trailing`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		spec, err := decodeJobSpec(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		norm, err := spec.Normalized()
+		if err != nil {
+			if _, kerr := spec.Key(); kerr == nil {
+				t.Fatalf("spec %+v has a key but does not normalize: %v", spec, err)
+			}
+			return
+		}
+		again, err := norm.Normalized()
+		if err != nil {
+			t.Fatalf("normalized spec %+v does not normalize: %v", norm, err)
+		}
+		if !reflect.DeepEqual(again, norm) {
+			t.Fatalf("Normalized is not idempotent:\n%+v\n%+v", norm, again)
+		}
+		key, err := spec.Key()
+		if err != nil {
+			t.Fatalf("normalized spec %+v has no key: %v", norm, err)
+		}
+		enc, err := json.Marshal(norm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := decodeJobSpec(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-encoded spec %s does not decode: %v", enc, err)
+		}
+		rekey, err := decoded.Key()
+		if err != nil {
+			t.Fatalf("re-encoded spec %s has no key: %v", enc, err)
+		}
+		if rekey != key {
+			t.Fatalf("key changed across re-encoding %s: %s -> %s", enc, key, rekey)
+		}
+	})
 }

@@ -93,10 +93,12 @@ func (s *Store) Has(key string) bool {
 
 // Put stores data under key. The write is atomic: data lands in tmp/
 // and is renamed into place, so readers only ever see complete
-// objects. If the key already exists the existing object wins — the
-// store is content-addressed, so an existing object is by definition
-// the same bytes, and keeping it preserves byte-identity for readers
-// holding its path.
+// objects. If a non-empty object already exists it wins — the store is
+// content-addressed, so an existing object is by definition the same
+// bytes, and keeping it preserves byte-identity for readers holding its
+// path. An empty object is never a valid artifact (Put refuses to write
+// one; a crash after an un-synced rename can leave one), so Put renames
+// over it.
 func (s *Store) Put(key string, data []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
@@ -105,7 +107,7 @@ func (s *Store) Put(key string, data []byte) error {
 		return fmt.Errorf("store: refusing to store empty object %s", key)
 	}
 	dst := s.objectPath(key)
-	if _, err := os.Stat(dst); err == nil {
+	if info, err := os.Stat(dst); err == nil && info.Size() > 0 {
 		return nil
 	}
 	tmp, err := os.CreateTemp(filepath.Join(s.dir, "tmp"), key[:8]+"-*")

@@ -201,3 +201,38 @@ func TestCheckCatchesLeftoverTemp(t *testing.T) {
 		t.Error("Check missed leftover temp file")
 	}
 }
+
+// TestPutReplacesEmptyObject: a zero-length object (what a crash after
+// an un-synced rename can leave) is not an artifact, so Put renames the
+// real bytes over it instead of keeping it as the first write.
+func TestPutReplacesEmptyObject(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte("artifact\n")
+	key := keyFor(data)
+	dst := s.objectPath(key)
+	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dst, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Check(); err == nil {
+		t.Fatal("Check accepted an empty object")
+	}
+	if err := s.Put(key, data); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatalf("Get after Put over an empty object = %q, want %q", got, data)
+	}
+	if err := s.Check(); err != nil {
+		t.Fatalf("Check after the replacement: %v", err)
+	}
+}
